@@ -2,9 +2,8 @@
 //! off vs on.
 //!
 //! Runs the two largest suite rows (s13207, s15850) through the SAT
-//! fixed point twice — once with structural collapsing, the pattern
-//! bank and batched queries all disabled, once with the `Options::sat`
-//! preset — and writes the before/after `sat_solver_calls` (plus the
+//! fixed point twice — once with structural collapsing and batched
+//! queries disabled, once with the `Options::sat` preset — and writes the before/after `sat_solver_calls` (plus the
 //! pipeline's own counters and the reduction ratio) to
 //! `BENCH_candidate_reduction.json` at the repository root. The two
 //! configurations must agree on verdict, final class count and
@@ -24,7 +23,6 @@ struct Run {
     classes: usize,
     eqs_percent: f64,
     strash_merged: u64,
-    bank_splits: u64,
     batched_calls: u64,
     batch_pairs_decoded: u64,
     wall_ms: f64,
@@ -40,7 +38,6 @@ fn measure(spec: &Aig, imp: &Aig, opts: Options) -> Run {
         classes: r.stats.classes,
         eqs_percent: r.stats.eqs_percent,
         strash_merged: r.stats.strash_merged,
-        bank_splits: r.stats.bank_splits,
         batched_calls: r.stats.batched_calls,
         batch_pairs_decoded: r.stats.batch_pairs_decoded,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -57,14 +54,13 @@ fn json_run(out: &mut String, name: &str, r: &Run) {
         out,
         "    \"{name}\": {{ \"sat_solver_calls\": {}, \"rounds\": {}, \
          \"classes\": {}, \"eqs_percent\": {:.2}, \"strash_merged\": {}, \
-         \"bank_splits\": {}, \"batched_calls\": {}, \
+         \"batched_calls\": {}, \
          \"batch_pairs_decoded\": {}, \"wall_ms\": {:.3}, \"verdict\": \"{}\" }}",
         r.solver_calls,
         r.rounds,
         r.classes,
         r.eqs_percent,
         r.strash_merged,
-        r.bank_splits,
         r.batched_calls,
         r.batch_pairs_decoded,
         r.wall_ms,
@@ -92,7 +88,6 @@ fn main() {
 
         let mut off_opts = Options::sat();
         off_opts.strash = false;
-        off_opts.pattern_bank_words = 0;
         off_opts.batch_pairs = 0;
         let off = measure(&entry.aig, &imp, off_opts);
         let on = measure(&entry.aig, &imp, Options::sat());

@@ -1,11 +1,15 @@
-//! Incremental vs monolithic SAT fixed point.
+//! Incremental vs rebuild mode of the SAT fixed point.
 //!
 //! Runs the same equivalence checks once per configuration and writes a
 //! machine-readable comparison — refinement rounds, solver
 //! constructions, solve calls, conflicts, wall-clock — to
 //! `BENCH_sat_incremental.json` at the repository root, so the effect
 //! of the persistent solver and counterexample amplification is
-//! tracked as a number instead of an anecdote.
+//! tracked as a number instead of an anecdote. The `monolithic` rows
+//! are the `Options::sat_monolithic` preset: rebuild mode (each round's
+//! solver re-cloned from the shared encoding) without amplification;
+//! the `incremental` rows are `Options::sat`. Both run the one
+//! refinement pool at `jobs = 1`.
 //!
 //! Not a criterion timing loop on purpose: the quantities of interest
 //! (rounds, calls, conflicts) are deterministic per configuration, and

@@ -62,11 +62,7 @@ pub fn bmc_refute(spec: &Aig, impl_: &Aig, opts: &Options) -> Result<CheckResult
         time: start.elapsed(),
         ..CheckStats::default()
     };
-    Ok(CheckResult {
-        verdict,
-        stats,
-        patterns: Vec::new(),
-    })
+    Ok(CheckResult { verdict, stats })
 }
 
 /// Searches for an input trace of length ≤ `depth` on which some output

@@ -26,7 +26,7 @@ use sec_netlist::{
     Side, Var,
 };
 use sec_obs::{emit_snapshot, event, Counter, Gauge, Obs, Recorder};
-use sec_sim::{eval_single, first_output_mismatch, PatternBank, Signatures, Trace};
+use sec_sim::{eval_single, first_output_mismatch, Signatures, Trace};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -209,7 +209,6 @@ impl Checker {
                         CheckResult {
                             verdict: Verdict::Inequivalent(t),
                             stats,
-                            patterns: Vec::new(),
                         },
                         PartitionSnapshot::empty(),
                     );
@@ -248,27 +247,14 @@ impl Checker {
         let mut proven = false;
         let mut retimes = 0usize;
 
-        // The candidate-set reduction pipeline (SAT backend only):
-        // structural collapsing shrinks the pair set before the fixed
-        // point, and the pattern bank carries counterexample witnesses
-        // across rounds, retiming extensions, and — via
-        // `Options::pattern_bank_seed` / `CheckResult::patterns` —
-        // whole runs.
+        // Structural collapsing (SAT backend only) shrinks the pair set
+        // before the fixed point.
         let use_strash = self.opts.backend == Backend::Sat && self.opts.strash;
         let mut collapsed: Vec<(Var, Lit)> = if use_strash {
             collapse_struct_equiv(&self.pm.aig, &mut partition, &obs)
         } else {
             Vec::new()
         };
-        let mut bank = PatternBank::new(
-            if self.opts.backend == Backend::Sat {
-                self.opts.pattern_bank_words
-            } else {
-                0
-            },
-            self.opts.sat_amplify_words.max(1),
-        );
-        bank.extend(self.opts.pattern_bank_seed.iter().cloned());
 
         loop {
             let pairs = self.pm.output_pairs.clone();
@@ -288,7 +274,6 @@ impl Checker {
                     &deadline,
                     &pairs,
                     &collapsed,
-                    &mut bank,
                 ),
             };
             match result {
@@ -364,7 +349,6 @@ impl Checker {
         stats.sat_solver_constructions = recorder.counter(Counter::SatSolverConstructions) as usize;
         stats.sat_solver_calls = recorder.counter(Counter::SatSolverCalls);
         stats.strash_merged = recorder.counter(Counter::StrashMerged);
-        stats.bank_splits = recorder.counter(Counter::BankSplits);
         stats.batched_calls = recorder.counter(Counter::BatchedCalls);
         stats.batch_pairs_decoded = recorder.counter(Counter::BatchPairsDecoded);
         stats.eqs_percent = self.eqs_percent(&partition);
@@ -391,15 +375,7 @@ impl Checker {
             eqs_percent = stats.eqs_percent
         );
         let snapshot = partition.snapshot();
-        let patterns = bank.patterns().cloned().collect();
-        (
-            CheckResult {
-                verdict,
-                stats,
-                patterns,
-            },
-            snapshot,
-        )
+        (CheckResult { verdict, stats }, snapshot)
     }
 }
 
@@ -408,11 +384,11 @@ impl Checker {
 /// returns the final partition.
 ///
 /// Exposed so tests, diagnostics, and benchmarks can compare the exact
-/// fixed point across backends: incremental SAT, monolithic SAT, and BDD
-/// must all land on the *same* partition — every counterexample-guided
-/// split preserves "the true relation refines the current partition", so
-/// any fixed point reached is the unique coarsest one refining the
-/// simulation seed.
+/// fixed point across backends: SAT in incremental or rebuild mode, at
+/// any jobs count, and BDD must all land on the *same* partition —
+/// every counterexample-guided split preserves "the true relation
+/// refines the current partition", so any fixed point reached is the
+/// unique coarsest one refining the simulation seed.
 ///
 /// # Errors
 ///
@@ -430,30 +406,15 @@ pub fn correspondence_partition(aig: &Aig, opts: &Options) -> Result<Partition, 
     } else {
         Vec::new()
     };
-    let mut bank = PatternBank::new(
-        if opts.backend == Backend::Sat {
-            opts.pattern_bank_words
-        } else {
-            0
-        },
-        opts.sat_amplify_words.max(1),
-    );
-    bank.extend(opts.pattern_bank_seed.iter().cloned());
     let run = match opts.backend {
         Backend::Bdd => {
             bdd_backend::run_fixed_point(aig, &mut partition, opts, &deadline, None, &[])
                 .map(|_| ())
         }
-        Backend::Sat => sat_backend::run_fixed_point(
-            aig,
-            &mut partition,
-            opts,
-            &deadline,
-            &[],
-            &collapsed,
-            &mut bank,
-        )
-        .map(|_| ()),
+        Backend::Sat => {
+            sat_backend::run_fixed_point(aig, &mut partition, opts, &deadline, &[], &collapsed)
+                .map(|_| ())
+        }
     };
     match run {
         Ok(()) => {

@@ -2,7 +2,6 @@
 
 use sec_limits::{CancellationToken, ProgressCounter};
 use sec_obs::Obs;
-use sec_sim::BankPattern;
 use std::time::Duration;
 
 /// Which engine performs the combinational checks of the fixed-point
@@ -19,12 +18,13 @@ pub enum Backend {
     /// A CDCL SAT solver over a two-frame Tseitin unrolling — the
     /// "introduction of extra variables representing intermediate
     /// signals" the paper's conclusion anticipates (and what modern
-    /// `scorr`-style tools do). By default the unrolling is encoded
-    /// once and one persistent solver serves every refinement round
-    /// ([`Options::sat_incremental`]); the historical
-    /// fresh-solver-per-round behaviour survives only as the
-    /// [`Options::sat_monolithic`] ablation baseline and as the
-    /// conflict-budget fall-back path.
+    /// `scorr`-style tools do). One driver runs every fixed point: a
+    /// work-stealing pool of [`Options::jobs`] workers, each with its
+    /// own solver over the once-encoded unrolling. By default every
+    /// solver persists across refinement rounds
+    /// ([`Options::sat_incremental`]); rebuilding it each round is the
+    /// [`Options::sat_monolithic`] ablation baseline and the
+    /// conflict-budget fall-back mode.
     Sat,
 }
 
@@ -59,25 +59,26 @@ pub struct Options {
     pub scope: SignalScope,
     /// RNG seed (reference input vector, simulation patterns).
     pub seed: u64,
-    /// Worker threads for **sharded parallel refinement rounds**
-    /// (incremental SAT path only; the BDD and monolithic paths stay
-    /// serial). `1` — the default — is exactly the single-threaded
-    /// behaviour. With `N > 1`, each round's candidate-pair checks are
-    /// split into chunks on **work-stealing deques**: each worker owns
-    /// a persistent incremental solver cloned once from the shared
-    /// two-frame CNF encoding, pulls chunks from its own queue and
-    /// steals from siblings when empty. Between chunks, workers
-    /// exchange short learned clauses over the shared encoding
-    /// variables ([`Options::sat_share_clauses`]) and amplified
-    /// counterexample witnesses ([`Options::sat_share_witnesses`]),
-    /// so one worker's refutation prunes every sibling's remaining
-    /// queries. The effective worker count is clamped to the round's
-    /// candidate-pair count, so oversubscribed `--jobs` never spawns
-    /// idle threads. Workers return counterexample witnesses which
-    /// the driver re-amplifies and merges deterministically in
-    /// ascending canonical pair order, so the final partition and
-    /// verdict are bit-identical for every jobs count (round
-    /// *trajectories* may differ — see `docs/PARALLEL.md`).
+    /// Workers of the SAT backend's **work-stealing refinement pool**
+    /// (the BDD backend ignores it). Each round's candidate-pair
+    /// checks are split into chunks on work-stealing deques: each
+    /// worker owns a solver cloned from the shared two-frame CNF
+    /// encoding, pulls chunks from its own queue and steals from
+    /// siblings when empty. Between chunks, workers exchange short
+    /// learned clauses over the shared encoding variables
+    /// ([`Options::sat_share_clauses`]) and amplified counterexample
+    /// witnesses ([`Options::sat_share_witnesses`]), so one worker's
+    /// refutation prunes every sibling's remaining queries. `1` — the
+    /// default — is a one-worker pool run on the calling thread: no
+    /// thread is spawned, no clause is exported, and chunks are never
+    /// narrower than [`Options::batch_pairs`]. The effective worker
+    /// count is clamped to the round's candidate-pair count, so
+    /// oversubscribed `--jobs` never spawns idle threads. Workers
+    /// return counterexample witnesses which the driver re-amplifies
+    /// and merges deterministically in ascending canonical pair
+    /// order, so the final partition and verdict are bit-identical
+    /// for every jobs count (round *trajectories* may differ — see
+    /// `docs/PARALLEL.md`).
     pub jobs: usize,
     /// Cycles of random sequential simulation used to seed the candidate
     /// partition (paper Sec. 4). `0` disables seeding: the iteration then
@@ -111,13 +112,14 @@ pub struct Options {
     /// Run sifting-based reordering when the BDD table grows (BDD backend
     /// only).
     pub sift: bool,
-    /// Incremental SAT fixed point (SAT backend only): encode the
-    /// two-frame unrolling once and keep one persistent solver across
-    /// all refinement rounds, guarding each round's correspondence
-    /// condition `Q` behind an activation literal that is retracted (a
-    /// unit `¬act`) when the partition refines. Learned clauses and
-    /// variable activities survive every round. `false` falls back to
-    /// the monolithic path that rebuilds solver and CNF per round.
+    /// Incremental SAT fixed point (SAT backend only): every pool
+    /// worker keeps its solver across all refinement rounds, guarding
+    /// each round's correspondence condition `Q` behind an activation
+    /// literal that is retracted (a unit `¬act`) at the next round
+    /// start. Learned clauses and variable activities survive every
+    /// round. `false` selects **rebuild mode**: every worker's solver
+    /// is re-cloned from the shared base encoding at each round start,
+    /// so nothing learnt outlives its round.
     pub sat_incremental: bool,
     /// 64-bit words of bit-parallel counterexample amplification per
     /// satisfiable SAT query (SAT backend only): the witness plus
@@ -126,14 +128,15 @@ pub struct Options {
     /// solver call typically splits many classes. `0` disables
     /// amplification (single-witness splitting).
     pub sat_amplify_words: usize,
-    /// Per-query conflict budget of the incremental SAT path. When a
-    /// query exhausts it, the run falls back gracefully to the
-    /// monolithic path (fresh solver per round, no budget) from the
-    /// current partition — never misreading the budgeted query as
-    /// "unsatisfiable". `None` means no budget.
+    /// Per-query conflict budget of the incremental SAT mode. When a
+    /// query exhausts it, the run drops the budget and redoes the
+    /// round in rebuild mode from the round-start partition — never
+    /// misreading the budgeted query as "unsatisfiable". `None` means
+    /// no budget.
     pub sat_conflict_budget: Option<u64>,
-    /// Exchange short learned clauses between the workers of sharded
-    /// parallel rounds (SAT backend, `jobs > 1` only). At every chunk
+    /// Exchange short learned clauses between the workers of the
+    /// refinement pool (SAT backend, rounds that run more than one
+    /// worker). At every chunk
     /// boundary a worker exports learnt clauses and level-0 units
     /// whose variables all lie in the shared two-frame encoding —
     /// facts implied by the base CNF alone, hence sound in any
@@ -141,19 +144,21 @@ pub struct Options {
     /// never changes the verdict or final partition; it only prunes
     /// duplicate conflict derivations. Disable for ablation runs.
     pub sat_share_clauses: bool,
-    /// Exchange amplified counterexample witnesses between the
-    /// workers of sharded parallel rounds (SAT backend, `jobs > 1`
-    /// only). A worker that refutes a candidate pair publishes the
-    /// witness's simulated signature; siblings skip any queued pair
-    /// that the signature already separates (the pair will be split
-    /// when the witness merges, so its query is redundant). Skipping
+    /// Exchange amplified counterexample witnesses within the
+    /// refinement pool (SAT backend). A worker that refutes a
+    /// candidate pair publishes the witness's simulated signature;
+    /// every worker — the publisher included, so a one-worker pool
+    /// prunes its own queue — skips any queued pair that the signature
+    /// already separates (the pair will be split when the witness
+    /// merges, so its query is redundant). Skipping
     /// is always sound — surviving pairs are re-enumerated next round
     /// — and the merge order keeps results deterministic. Disable for
     /// ablation runs.
     pub sat_share_witnesses: bool,
-    /// Candidate pairs per work-stealing chunk in sharded parallel
-    /// rounds. `0` — the default — sizes chunks automatically from
-    /// the round's pair count and the worker count. Smaller chunks
+    /// Candidate pairs per work-stealing chunk of the refinement pool.
+    /// `0` — the default — sizes chunks automatically from the
+    /// round's pair count and the worker count, never narrower than
+    /// [`Options::batch_pairs`]. Smaller chunks
     /// react faster to a sibling's counterexample, larger chunks
     /// amortize exchange overhead; see `docs/PARALLEL.md` for tuning.
     pub sat_chunk_pairs: usize,
@@ -169,18 +174,6 @@ pub struct Options {
     /// `strash_merged` counter. Off in [`Options::paper`], on in
     /// [`Options::sat`].
     pub strash: bool,
-    /// Layer 2 of the reduction pipeline (SAT backend only): capacity,
-    /// in 64-bit amplification words, of the persistent
-    /// [`sec_sim::PatternBank`] of counterexample witnesses. Every
-    /// witness a SAT query produces is banked and replayed —
-    /// re-amplified from its stored seed — at the start of every later
-    /// refinement round, so a split pattern discovered once never
-    /// costs a solver call again. Entries whose amplification is fully
-    /// valid against the current partition yet splits nothing are
-    /// dropped (they can never split again). `0` disables the bank.
-    /// Splits from replay are counted by `bank_splits`. Off in
-    /// [`Options::paper`], on in [`Options::sat`].
-    pub pattern_bank_words: usize,
     /// Layer 3 of the reduction pipeline (SAT backend only): batch up
     /// to this many candidate-pair equality queries into one
     /// incremental solver call under a single assumption set. A batch
@@ -194,12 +187,6 @@ pub struct Options {
     /// are counted by `batched_calls`. Off in [`Options::paper`], on
     /// in [`Options::sat`].
     pub batch_pairs: usize,
-    /// Witnesses to warm-start the pattern bank with, e.g. from a
-    /// `sec serve` cache entry of an earlier run over the same
-    /// circuit. Replay validates every pattern against the current
-    /// partition (and drops shape-mismatched ones), so a stale seed is
-    /// harmless. Ignored when [`Options::pattern_bank_words`] is `0`.
-    pub pattern_bank_seed: Vec<BankPattern>,
     /// Refute cheaply by lockstep random simulation before the fixed
     /// point (and use simulation counterexamples found during seeding).
     /// Portfolio runs disable this in engines whose role is proving, so
@@ -252,9 +239,7 @@ impl Default for Options {
             sat_share_witnesses: true,
             sat_chunk_pairs: 0,
             strash: false,
-            pattern_bank_words: 0,
             batch_pairs: 0,
-            pattern_bank_seed: Vec::new(),
             sim_refute: true,
             cancel: None,
             progress: None,
@@ -272,23 +257,24 @@ impl Options {
         Options::default()
     }
 
-    /// SAT-backend configuration (incremental solver, amplification
-    /// on, and the full candidate-set reduction pipeline enabled:
-    /// structural collapsing, pattern bank, batched queries).
+    /// SAT-backend configuration: incremental solvers, amplification
+    /// on, and the candidate-set reduction pipeline enabled
+    /// (structural collapsing and batched queries). With the default
+    /// `jobs: 1` the refinement pool has one worker on the calling
+    /// thread; [`Options::jobs`] widens it.
     pub fn sat() -> Options {
         Options {
             backend: Backend::Sat,
             strash: true,
-            pattern_bank_words: 256,
             batch_pairs: 32,
             ..Options::default()
         }
     }
 
     /// SAT-backend configuration with the pre-incremental behaviour:
-    /// fresh solver and CNF per refinement round, single-witness
-    /// splitting. The baseline the incremental path is benchmarked
-    /// against.
+    /// rebuild mode (a fresh solver per worker per refinement round)
+    /// and single-witness splitting. The baseline the incremental mode
+    /// is benchmarked against.
     pub fn sat_monolithic() -> Options {
         Options {
             backend: Backend::Sat,
@@ -398,8 +384,8 @@ impl OptionsBuilder {
         scope: SignalScope,
         /// Sets the RNG seed.
         seed: u64,
-        /// Sets the worker count of the sharded refinement rounds
-        /// (see [`Options::jobs`]).
+        /// Sets the worker count of the refinement pool (see
+        /// [`Options::jobs`]).
         jobs: usize,
         /// Sets the simulation-seeding cycle count (`0` disables).
         sim_cycles: usize,
@@ -421,11 +407,12 @@ impl OptionsBuilder {
         bmc_depth: usize,
         /// Enables/disables sifting-based BDD reordering.
         sift: bool,
-        /// Enables/disables the incremental SAT fixed point.
+        /// Enables/disables the incremental SAT fixed point (`false`
+        /// selects rebuild mode; see [`Options::sat_incremental`]).
         sat_incremental: bool,
         /// Sets the amplification width in words (`0` disables).
         sat_amplify_words: usize,
-        /// Sets the per-query conflict budget of the incremental path.
+        /// Sets the per-query conflict budget of the incremental mode.
         sat_conflict_budget: Option<u64>,
         /// Enables/disables learned-clause exchange between workers
         /// (see [`Options::sat_share_clauses`]).
@@ -438,15 +425,9 @@ impl OptionsBuilder {
         /// Enables/disables structural collapsing of bisimilar signals
         /// before the fixed point (see [`Options::strash`]).
         strash: bool,
-        /// Sets the pattern-bank capacity in amplification words
-        /// (`0` disables the bank; see [`Options::pattern_bank_words`]).
-        pattern_bank_words: usize,
         /// Sets the batched-query width in pairs (`0`/`1` = per-pair
         /// queries; see [`Options::batch_pairs`]).
         batch_pairs: usize,
-        /// Seeds the pattern bank with witnesses from an earlier run
-        /// (see [`Options::pattern_bank_seed`]).
-        pattern_bank_seed: Vec<BankPattern>,
         /// Enables/disables cheap simulation refutation.
         sim_refute: bool,
         /// Attaches a cooperative cancellation token.
@@ -486,7 +467,6 @@ mod tests {
         assert!(o.sat_amplify_words > 0);
         // The reduction pipeline is on for the SAT preset…
         assert!(o.strash);
-        assert!(o.pattern_bank_words > 0);
         assert!(o.batch_pairs > 1);
     }
 
@@ -504,9 +484,7 @@ mod tests {
         // configurations keep the original per-pair behaviour.
         for o in [Options::paper(), Options::sat_monolithic()] {
             assert!(!o.strash);
-            assert_eq!(o.pattern_bank_words, 0);
             assert_eq!(o.batch_pairs, 0);
-            assert!(o.pattern_bank_seed.is_empty());
         }
     }
 }

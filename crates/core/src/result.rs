@@ -1,6 +1,6 @@
 //! Verdicts and statistics.
 
-use sec_sim::{BankPattern, Trace};
+use sec_sim::Trace;
 use std::time::Duration;
 
 /// The verdict of a sequential equivalence check.
@@ -55,9 +55,10 @@ pub struct CheckStats {
     /// including the BMC-fallback solver, so a BDD-backend run that
     /// ends in BMC reports nonzero conflicts.
     pub sat_conflicts: u64,
-    /// SAT solvers constructed: 1 per fixed point on the incremental
-    /// path, one per refinement round on the monolithic path, plus one
-    /// for the BMC fallback when it runs.
+    /// SAT solvers constructed: one per pool worker per fixed point in
+    /// incremental mode, one per worker per refinement round in
+    /// rebuild mode ([`Options::sat_incremental`](crate::Options::sat_incremental)
+    /// `false`), plus one for the BMC fallback when it runs.
     pub sat_solver_constructions: usize,
     /// Individual SAT solve calls across all constructed solvers.
     pub sat_solver_calls: u64,
@@ -65,10 +66,6 @@ pub struct CheckStats {
     /// representative before the fixed point (the `strash_merged`
     /// counter; [`Options::strash`](crate::Options::strash)).
     pub strash_merged: u64,
-    /// Classes created by replaying banked counterexample patterns at
-    /// round starts (the `bank_splits` counter;
-    /// [`Options::pattern_bank_words`](crate::Options::pattern_bank_words)).
-    pub bank_splits: u64,
     /// Batched pair-equality solver calls (the `batched_calls`
     /// counter; [`Options::batch_pairs`](crate::Options::batch_pairs)).
     pub batched_calls: u64,
@@ -94,14 +91,6 @@ pub struct CheckResult {
     pub verdict: Verdict,
     /// Run statistics.
     pub stats: CheckStats,
-    /// The pattern bank's contents at the end of the run: raw
-    /// counterexample witnesses worth replaying in a future check of
-    /// the same circuit pair. Empty unless
-    /// [`Options::pattern_bank_words`](crate::Options::pattern_bank_words)
-    /// is nonzero. `sec serve` persists these alongside the partition
-    /// snapshot and feeds them back through
-    /// [`Options::pattern_bank_seed`](crate::Options::pattern_bank_seed).
-    pub patterns: Vec<BankPattern>,
 }
 
 #[cfg(test)]

@@ -14,20 +14,37 @@
 //! * an **initial frame** over its own inputs `x_I` with the registers
 //!   tied to their initial values (condition 1 of Definition 2).
 //!
-//! **Incremental path** (default): the solver is built once per fixed
-//! point and persists across every refinement round. `Q_{T_i}` is never
-//! asserted as hard clauses: each `(member, representative)` pair gets a
-//! persistent guard `g` with `g → (m = r)` created once per pair
-//! lifetime, and each round's activation literal `act_i` implies the
-//! live pairs' guards (one binary clause apiece), with `act_i` passed to
-//! every query as an assumption. When the round refines the partition,
-//! the unit clause `¬act_i` retracts the round; the solver, its variable
-//! activities, and all learned clauses carry over, and surviving pairs
-//! are re-activated next round at one clause each. Learnts stay valid
-//! after retraction because every clause they were derived from is still
-//! present — retraction only *satisfies* the activation clauses, it
-//! never deletes anything — and learnts over pair guards and cached
-//! difference literals keep pruning later rounds' queries.
+//! **One driver for every jobs count.** [`run_fixed_point`] runs each
+//! refinement round on a work-stealing pool of workers, each owning a
+//! clone of the encoding (solver included); `jobs = 1` is a one-worker
+//! pool run on the calling thread. Workers return raw witnesses and
+//! the driver alone refines the partition, in canonical pair order, so
+//! the final partition and verdict are the same for every jobs count.
+//!
+//! **Incremental mode** (default): each worker's solver persists across
+//! every refinement round. `Q_{T_i}` is never asserted as hard clauses:
+//! each `(member, representative)` pair gets a persistent guard `g`
+//! with `g → (m = r)` created once per pair lifetime, and each round's
+//! activation literal `act_i` implies the live pairs' guards (one binary
+//! clause apiece), with `act_i` passed to every query as an assumption.
+//! At the next round start the unit clause `¬act_i` retracts the round;
+//! the solver, its variable activities, and all learned clauses carry
+//! over, and surviving pairs are re-activated at one clause each.
+//! Learnts stay valid after retraction because every clause they were
+//! derived from is still present — retraction only *satisfies* the
+//! activation clauses, it never deletes anything — and learnts over
+//! pair guards and cached difference literals keep pruning later
+//! rounds' queries.
+//!
+//! **Rebuild mode** (`sat_incremental: false`): every worker's solver is
+//! re-cloned from the shared base encoding at each round start, so no
+//! learnt clause outlives its round — the ablation baseline of the
+//! incremental mode. A per-query conflict budget (off by default)
+//! bounds how much a persistent solver may thrash on one query; on
+//! exhaustion the run drops the budget, switches to rebuild mode, and
+//! redoes the round from the round-start partition, which is sound
+//! because every split already applied is justified. A budgeted or
+//! interrupted query is never read as "unsatisfiable".
 //!
 //! Satisfiable queries yield a witness `(s, x_t, x_{t+1})` that is
 //! **amplified**: packed with bit-flipped neighbour patterns into one
@@ -35,13 +52,6 @@
 //! satisfy the *current* `Q` refines the partition
 //! ([`Partition::refine_by_words`]), so one solver call can split
 //! several classes at once instead of exactly one pair.
-//!
-//! A per-query conflict budget (off by default) bounds how much the
-//! persistent solver may thrash on one query; on exhaustion the run
-//! falls back gracefully to the **monolithic path** — the original
-//! fresh-solver-per-round loop — from the current partition, which is
-//! sound because every split already applied is justified. A budgeted
-//! or interrupted query is never read as "unsatisfiable".
 
 use crate::context::{Abort, Deadline, SatMeter};
 use crate::options::Options;
@@ -50,10 +60,7 @@ use sec_limits::{CancellationToken, StealQueues};
 use sec_netlist::{Aig, Lit, Var};
 use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
-use sec_sim::{
-    amplify_init, amplify_two_frame, eval_single, next_state_single, BankPattern, BitSim,
-    PatternBank,
-};
+use sec_sim::{amplify_init, amplify_two_frame, eval_single, next_state_single, BitSim};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,8 +69,8 @@ use std::sync::{Arc, Mutex};
 /// encoded in a fresh solver.
 ///
 /// `Clone` snapshots the whole encoding — solver included — which is
-/// how the sharded path hands each worker its own solver over the
-/// shared CNF: encode once, clone per worker.
+/// how the pool hands each worker its own solver over the shared CNF:
+/// encode once, clone per worker.
 #[derive(Clone)]
 struct Unrolling {
     solver: Solver,
@@ -79,7 +86,7 @@ struct Unrolling {
     x1_in: Vec<Var>,
     xi_in: Vec<Var>,
     /// Difference literals per `(member, representative, init-frame?)`
-    /// pair, reused across rounds on the incremental path. Sound
+    /// pair, reused across rounds while the solver persists. Sound
     /// because polarity phases never change after seeding, so the
     /// normalized literals of a pair are stable; reuse means clauses
     /// learned about a pair in one round keep pruning the same pair's
@@ -96,7 +103,7 @@ struct Unrolling {
     /// a pair's guard keep their meaning across rounds.
     pair_guards: HashMap<(Var, Var), SatLit>,
     /// Solver variable count right after the base CNF was encoded —
-    /// the sharing frontier of the sharded path. Every variable below
+    /// the clause-sharing frontier of the pool. Every variable below
     /// it belongs to the two-frame encoding common to all worker
     /// clones; everything at or above it (guards, activation literals,
     /// difference literals) is private to one solver. Clauses confined
@@ -106,7 +113,10 @@ struct Unrolling {
 }
 
 impl Unrolling {
-    fn build(aig: &Aig) -> Unrolling {
+    /// Encodes the unrolling, with the collapsed structural equalities
+    /// ([`Unrolling::assert_struct_eqs`]) asserted: the shared base
+    /// encoding every worker's solver is cloned from.
+    fn build(aig: &Aig, struct_eqs: &[(Var, Lit)]) -> Unrolling {
         let mut u = Aig::new();
         let s_in: Vec<Var> = (0..aig.num_latches())
             .map(|i| u.add_input(format!("s{i}")))
@@ -154,7 +164,7 @@ impl Unrolling {
         let mut solver = Solver::new();
         let cnf = AigCnf::encode(&mut solver, &u);
         let base_vars = solver.num_vars();
-        Unrolling {
+        let mut unrolling = Unrolling {
             solver,
             cnf,
             frame0,
@@ -168,7 +178,9 @@ impl Unrolling {
             out_diffs: HashMap::new(),
             pair_guards: HashMap::new(),
             base_vars,
-        }
+        };
+        unrolling.assert_struct_eqs(struct_eqs);
+        unrolling
     }
 
     /// Permanently asserts the structural equalities removed from the
@@ -229,34 +241,27 @@ impl Unrolling {
     }
 
     /// Asserts this round's correspondence condition `Q_{T_i}` on frame
-    /// 0 — as hard clauses (`act == None`, monolithic path) or behind
-    /// the round's activation literal (incremental path): `act` implies
+    /// 0 behind the round's activation literal `act`: `act` implies
     /// every live pair's persistent equality guard. Retracting the
     /// round (unit `¬act`) leaves the per-pair guards and their
     /// equality clauses in place for the next round to re-activate.
-    fn assert_q(&mut self, partition: &Partition, act: Option<SatLit>) {
-        let class_ids: Vec<usize> = partition.multi_classes().collect();
-        for &ci in &class_ids {
-            let members: Vec<Var> = partition.class(ci).to_vec();
+    fn assert_q(&mut self, partition: &Partition, act: SatLit) {
+        for ci in partition.multi_classes() {
+            let members = partition.class(ci);
             let rv = members[0];
             let lr = Unrolling::norm(&self.frame0, partition, rv);
             for &m in &members[1..] {
-                let lm = Unrolling::norm(&self.frame0, partition, m);
-                match act {
-                    Some(a) => {
-                        let g = match self.pair_guards.get(&(m, rv)) {
-                            Some(&g) => g,
-                            None => {
-                                let g = self.solver.new_var().positive();
-                                self.cnf.assert_equal_guarded(&mut self.solver, g, lm, lr);
-                                self.pair_guards.insert((m, rv), g);
-                                g
-                            }
-                        };
-                        self.solver.add_clause(&[!a, g]);
+                let g = match self.pair_guards.get(&(m, rv)) {
+                    Some(&g) => g,
+                    None => {
+                        let lm = Unrolling::norm(&self.frame0, partition, m);
+                        let g = self.solver.new_var().positive();
+                        self.cnf.assert_equal_guarded(&mut self.solver, g, lm, lr);
+                        self.pair_guards.insert((m, rv), g);
+                        g
                     }
-                    None => self.cnf.assert_equal(&mut self.solver, lm, lr),
-                }
+                };
+                self.solver.add_clause(&[!act, g]);
             }
         }
     }
@@ -266,8 +271,8 @@ impl Unrolling {
 enum Query {
     Sat,
     Unsat,
-    /// The per-query conflict budget ran out (incremental path only);
-    /// the caller must fall back, never treat this as `Unsat`.
+    /// The per-query conflict budget ran out; the driver must fall
+    /// back to rebuild mode, never treat this as `Unsat`.
     Budget,
 }
 
@@ -289,16 +294,6 @@ fn query(solver: &mut Solver, assumptions: &[SatLit], obs: &Obs) -> Result<Query
     }
 }
 
-/// Outcome of one refinement round.
-enum Round {
-    /// At least one class split.
-    Refined,
-    /// No query was satisfiable: the partition is the fixed point.
-    NoSplit,
-    /// A query exhausted the conflict budget; fall back to monolithic.
-    Budget,
-}
-
 /// The word-mask of patterns on which every collapsed structural
 /// equality holds at frame 0. Amplified neighbour patterns perturb
 /// frame-0 *state* bits (not just inputs), so in a collapsed run a
@@ -314,19 +309,6 @@ fn struct_eq_word_mask(frame0: &BitSim, struct_eqs: &[(Var, Lit)], w: usize) -> 
         }
     }
     valid
-}
-
-/// Whether a single frame-0 valuation satisfies the current `Q` and
-/// every collapsed structural equality — the unamplified
-/// (`sat_amplify_words == 0`) counterpart of the per-word validity
-/// masks, used when replaying banked patterns.
-fn q_valid_single(partition: &Partition, struct_eqs: &[(Var, Lit)], values: &[bool]) -> bool {
-    // Broadcasting each value to a full word makes every class pair
-    // contribute either all-ones (agree) or all-zeros (disagree).
-    let q_ok = partition.valid_word_mask(|v| if values[v.index()] { !0u64 } else { 0 }) == !0u64;
-    q_ok && struct_eqs
-        .iter()
-        .all(|&(m, rl)| values[m.index()] == (values[rl.var().index()] ^ rl.is_complemented()))
 }
 
 /// Splits the partition by a two-frame counterexample `(s, x_t,
@@ -398,482 +380,14 @@ fn split_by_init_cex(
     changed
 }
 
-/// Replays one banked two-frame witness against the current partition:
-/// re-amplify with the pattern's recorded seed and refine by every
-/// pattern that is valid *now* (frame-0 `Q` of the current — finer —
-/// partition, plus the collapsed structural equalities). Returns `true`
-/// when every pattern was valid: the entry's refinement power is fully
-/// spent and it can never split a finer partition again.
-fn replay_two_frame(
-    aig: &Aig,
-    partition: &mut Partition,
-    words: usize,
-    struct_eqs: &[(Var, Lit)],
-    (s, xt, xt1): (&[bool], &[bool], &[bool]),
-    seed: u64,
-) -> bool {
-    if words == 0 {
-        let frame0 = eval_single(aig, xt, s);
-        let valid = q_valid_single(partition, struct_eqs, &frame0);
-        if valid {
-            let s2 = next_state_single(aig, xt, s);
-            let frame2 = eval_single(aig, xt1, &s2);
-            partition.refine_by_values(&frame2);
-        }
-        return valid;
-    }
-    let amp = amplify_two_frame(aig, s, xt, xt1, words, seed);
-    let mut fully_valid = true;
-    for w in 0..words {
-        let mask = partition.valid_word_mask(|v| amp.frame0.var_words(v)[w])
-            & struct_eq_word_mask(&amp.frame0, struct_eqs, w);
-        fully_valid &= mask == !0u64;
-        partition.refine_by_words(|v| amp.frame1.var_words(v)[w], mask);
-    }
-    fully_valid
-}
-
-/// Replays one banked initial-frame witness. Initial-frame patterns
-/// pin every latch to its initial value, so all of them are valid
-/// splitting points regardless of the partition — the entry is always
-/// exhausted after one replay.
-fn replay_init(aig: &Aig, partition: &mut Partition, words: usize, xi: &[bool], seed: u64) {
-    if words == 0 {
-        let vals = eval_single(aig, xi, &aig.initial_state());
-        partition.refine_by_values(&vals);
-        return;
-    }
-    let sim = amplify_init(aig, xi, words, seed);
-    for w in 0..words {
-        partition.refine_by_words(|v| sim.var_words(v)[w], !0u64);
-    }
-}
-
-/// Replays the pattern bank at a round start, before this round's `Q`
-/// is asserted: every banked witness re-amplifies with its recorded
-/// seed, and every pattern valid against the *current* partition
-/// refines it — splits for free, without a solver call. Sound for the
-/// same reason amplification is: a mask-valid split only separates
-/// signals some reachable-under-`Q` valuation distinguishes, which
-/// preserves "the true correspondence refines the partition", so the
-/// certified fixed point is unchanged (only the trajectory shortens).
-///
-/// Entries are dropped when stale (shape mismatch after a retiming
-/// extension or a foreign cache seed) or exhausted (every pattern
-/// valid — validity only widens as refinement removes constraints, so
-/// a fully-applied entry can never split again). The class-count
-/// delta lands in the `bank_splits` counter.
-fn replay_bank(
-    aig: &Aig,
-    partition: &mut Partition,
-    opts: &Options,
-    struct_eqs: &[(Var, Lit)],
-    bank: &mut PatternBank,
-    obs: &Obs,
-) {
-    if bank.is_empty() {
-        return;
-    }
-    let words = opts.sat_amplify_words;
-    let before = partition.num_classes();
-    bank.retain(|p| match p {
-        BankPattern::TwoFrame {
-            state,
-            inputs_t,
-            inputs_t1,
-            seed,
-        } => {
-            if state.len() != aig.num_latches()
-                || inputs_t.len() != aig.num_inputs()
-                || inputs_t1.len() != aig.num_inputs()
-            {
-                return false;
-            }
-            let exhausted = replay_two_frame(
-                aig,
-                partition,
-                words,
-                struct_eqs,
-                (state, inputs_t, inputs_t1),
-                *seed,
-            );
-            !exhausted
-        }
-        BankPattern::Init { inputs, seed } => {
-            if inputs.len() == aig.num_inputs() {
-                replay_init(aig, partition, words, inputs, *seed);
-            }
-            false
-        }
-    });
-    let splits = (partition.num_classes() - before) as u64;
-    if splits > 0 {
-        obs.add(Counter::BankSplits, splits);
-        event!(obs, "bank.replay", splits = splits, entries = bank.len());
-    }
-}
-
-/// Everything one serial refinement round reads and writes besides the
-/// partition: the unrolling, the candidate-reduction state (collapsed
-/// structural equalities, the pattern bank, the cross-round
-/// condition-1 cache), and the reporting plumbing. Bundled so the
-/// serial round entry points stay within clippy's argument budget.
-struct RoundCtx<'a> {
-    opts: &'a Options,
-    deadline: &'a Deadline,
-    u: &'a mut Unrolling,
-    act: Option<SatLit>,
-    round: usize,
-    obs: &'a Obs,
-    struct_eqs: &'a [(Var, Lit)],
-    bank: &'a mut PatternBank,
-    /// Pairs proven equal on the initial frame in an earlier round.
-    /// The initial frame is a subgraph disjoint from frame 0, so the
-    /// round's `Q` cannot influence a condition-1 query: once
-    /// unsatisfiable, always unsatisfiable (see [`Worker::init_eq`]).
-    /// Only the batched path consults it — the per-pair path keeps the
-    /// pre-batching query trajectory untouched.
-    init_eq: &'a mut HashSet<(Var, Var)>,
-}
-
-/// Runs one refinement round over every multi-member class: condition-2
-/// queries on frame 1 and condition-1 queries on the initial frame,
-/// splitting on every witness. `ctx.act` carries the incremental
-/// path's activation literal (assumed in every query); `None` is the
-/// monolithic path. With [`Options::batch_pairs`] ≥ 2 the queries run
-/// batched ([`run_round_batched`]); the per-pair sweep below is the
-/// exact pre-batching behaviour.
-fn run_round(
-    aig: &Aig,
-    partition: &mut Partition,
-    ticker: &mut ProgressTicker,
-    ctx: &mut RoundCtx,
-) -> Result<Round, Abort> {
-    if ctx.opts.batch_pairs >= 2 {
-        return run_round_batched(aig, partition, ticker, ctx);
-    }
-    let act = ctx.act;
-    let with_act = |d: SatLit| match act {
-        Some(a) => vec![a, d],
-        None => vec![d],
-    };
-    let (opts, round, obs) = (ctx.opts, ctx.round, ctx.obs);
-    // Deterministic per-query amplification seeds.
-    let mut query_seq = (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut changed = false;
-    let mut ci = 0;
-    while ci < partition.num_classes() {
-        ctx.deadline.check()?;
-        // Heartbeat from inside the round, so a single long round
-        // still reports live progress at the configured interval.
-        if ticker.ready() {
-            event!(
-                obs,
-                "progress",
-                round = round,
-                classes = partition.num_classes(),
-                conflicts = ctx.u.solver.stats().conflicts,
-                elapsed_ms = ticker.elapsed_ms()
-            );
-        }
-        let members: Vec<Var> = partition.class(ci).to_vec();
-        if members.len() >= 2 {
-            let r = members[0];
-            for &m in &members[1..] {
-                if partition.class_of(m) != Some(ci) {
-                    continue;
-                }
-                query_seq = query_seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                // Condition 2: next-frame disagreement under Q?
-                let d1 = ctx.u.pair_diff(partition, m, r, false);
-                match query(&mut ctx.u.solver, &with_act(d1), obs)? {
-                    Query::Budget => return Ok(Round::Budget),
-                    Query::Sat => {
-                        let s = ctx.u.read_inputs(&ctx.u.s_in);
-                        let xt = ctx.u.read_inputs(&ctx.u.x0_in);
-                        let xt1 = ctx.u.read_inputs(&ctx.u.x1_in);
-                        let seed = opts.seed ^ query_seq;
-                        if !split_by_two_frame_cex(
-                            aig,
-                            partition,
-                            opts,
-                            seed,
-                            &s,
-                            &xt,
-                            &xt1,
-                            ctx.struct_eqs,
-                            obs,
-                        ) {
-                            return Err(Abort::Resource(
-                                "internal inconsistency: SAT counterexample did not split".into(),
-                            ));
-                        }
-                        ctx.bank.push(BankPattern::TwoFrame {
-                            state: s,
-                            inputs_t: xt,
-                            inputs_t1: xt1,
-                            seed,
-                        });
-                        changed = true;
-                        continue;
-                    }
-                    Query::Unsat => {}
-                }
-                // Condition 1: disagreement at the initial state?
-                let d0 = ctx.u.pair_diff(partition, m, r, true);
-                match query(&mut ctx.u.solver, &with_act(d0), obs)? {
-                    Query::Budget => return Ok(Round::Budget),
-                    Query::Sat => {
-                        let xi = ctx.u.read_inputs(&ctx.u.xi_in);
-                        let seed = opts.seed ^ query_seq.wrapping_add(1);
-                        if !split_by_init_cex(aig, partition, opts, seed, &xi, obs) {
-                            return Err(Abort::Resource(
-                                "internal inconsistency: init counterexample did not split".into(),
-                            ));
-                        }
-                        ctx.bank.push(BankPattern::Init { inputs: xi, seed });
-                        changed = true;
-                    }
-                    Query::Unsat => {}
-                }
-            }
-        }
-        ci += 1;
-    }
-    Ok(if changed {
-        Round::Refined
-    } else {
-        Round::NoSplit
-    })
-}
-
-/// How one flushed batch of candidate pairs ended.
-enum BatchOut {
-    /// Every live pair proven under both conditions (possibly after
-    /// splitting away siblings decoded from earlier models).
-    Done { split: bool },
-    /// A query exhausted the per-query conflict budget.
-    Budget,
-}
-
-/// Resolves one batch of candidate pairs with the batched protocol:
-/// one fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over
-/// the pairs' cached difference literals, and `b` assumed alongside
-/// the round activation. **Unsat** proves all `k` pairs at once — the
-/// assumption set is the per-pair query's plus `b`, so unsatisfiability
-/// of the disjunction certifies exactly what `k` per-pair Unsat
-/// answers would. **Sat** yields a model in which at least one `dᵢ` is
-/// true (`b` forces the disjunction); decoding the model's `dᵢ` values
-/// names every pair this witness separates, the witness is merged with
-/// the *lowest* decoded pair's canonical seed, and the still-co-classed
-/// remainder re-solves. Each batch literal is retired with the unit
-/// `¬b` so later queries never revisit it. Condition 1 runs the same
-/// way over the condition-2 survivors, behind the cross-round
-/// [`RoundCtx::init_eq`] cache.
-fn flush_pair_batch(
-    aig: &Aig,
-    partition: &mut Partition,
-    ctx: &mut RoundCtx,
-    chunk: &[(u64, Var, Var)],
-) -> Result<BatchOut, Abort> {
-    let act = ctx.act;
-    let with_act = |b: SatLit| match act {
-        Some(a) => vec![a, b],
-        None => vec![b],
-    };
-    let (opts, round, obs) = (ctx.opts, ctx.round, ctx.obs);
-    let co_classed = |partition: &Partition, m: Var, r: Var| {
-        matches!(
-            (partition.class_of(m), partition.class_of(r)),
-            (Some(a), Some(b)) if a == b
-        )
-    };
-    let mut split = false;
-    // Condition 2 to exhaustion over the batch.
-    let mut live: Vec<(u64, Var, Var)> = chunk
-        .iter()
-        .copied()
-        .filter(|&(_, m, r)| co_classed(partition, m, r))
-        .collect();
-    while !live.is_empty() {
-        ctx.deadline.check()?;
-        let ds: Vec<SatLit> = live
-            .iter()
-            .map(|&(_, m, r)| ctx.u.pair_diff(partition, m, r, false))
-            .collect();
-        let b = ctx.u.solver.new_var().positive();
-        let mut clause = vec![!b];
-        clause.extend_from_slice(&ds);
-        ctx.u.solver.add_clause(&clause);
-        obs.add(Counter::BatchedCalls, 1);
-        let q = query(&mut ctx.u.solver, &with_act(b), obs)?;
-        ctx.u.solver.add_clause(&[!b]);
-        match q {
-            Query::Budget => return Ok(BatchOut::Budget),
-            Query::Unsat => break,
-            Query::Sat => {
-                let decoded: Vec<u64> = live
-                    .iter()
-                    .zip(&ds)
-                    .filter(|&(_, &d)| ctx.u.solver.model_value(d))
-                    .map(|(&(seq, _, _), _)| seq)
-                    .collect();
-                obs.add(Counter::BatchPairsDecoded, decoded.len() as u64);
-                let lowest = decoded.iter().copied().min().unwrap_or(live[0].0);
-                let s = ctx.u.read_inputs(&ctx.u.s_in);
-                let xt = ctx.u.read_inputs(&ctx.u.x0_in);
-                let xt1 = ctx.u.read_inputs(&ctx.u.x1_in);
-                let seed = cex_seed(opts.seed, round, lowest, false);
-                if !split_by_two_frame_cex(
-                    aig,
-                    partition,
-                    opts,
-                    seed,
-                    &s,
-                    &xt,
-                    &xt1,
-                    ctx.struct_eqs,
-                    obs,
-                ) {
-                    return Err(Abort::Resource(
-                        "internal inconsistency: batched counterexample did not split".into(),
-                    ));
-                }
-                ctx.bank.push(BankPattern::TwoFrame {
-                    state: s,
-                    inputs_t: xt,
-                    inputs_t1: xt1,
-                    seed,
-                });
-                split = true;
-                live.retain(|&(_, m, r)| co_classed(partition, m, r));
-            }
-        }
-    }
-    // Condition 1 over the condition-2 survivors.
-    let mut live: Vec<(u64, Var, Var)> = live
-        .into_iter()
-        .filter(|&(_, m, r)| co_classed(partition, m, r) && !ctx.init_eq.contains(&(m, r)))
-        .collect();
-    while !live.is_empty() {
-        ctx.deadline.check()?;
-        let ds: Vec<SatLit> = live
-            .iter()
-            .map(|&(_, m, r)| ctx.u.pair_diff(partition, m, r, true))
-            .collect();
-        let b = ctx.u.solver.new_var().positive();
-        let mut clause = vec![!b];
-        clause.extend_from_slice(&ds);
-        ctx.u.solver.add_clause(&clause);
-        obs.add(Counter::BatchedCalls, 1);
-        let q = query(&mut ctx.u.solver, &with_act(b), obs)?;
-        ctx.u.solver.add_clause(&[!b]);
-        match q {
-            Query::Budget => return Ok(BatchOut::Budget),
-            Query::Unsat => {
-                for &(_, m, r) in &live {
-                    ctx.init_eq.insert((m, r));
-                }
-                break;
-            }
-            Query::Sat => {
-                let decoded: Vec<u64> = live
-                    .iter()
-                    .zip(&ds)
-                    .filter(|&(_, &d)| ctx.u.solver.model_value(d))
-                    .map(|(&(seq, _, _), _)| seq)
-                    .collect();
-                obs.add(Counter::BatchPairsDecoded, decoded.len() as u64);
-                let lowest = decoded.iter().copied().min().unwrap_or(live[0].0);
-                let xi = ctx.u.read_inputs(&ctx.u.xi_in);
-                let seed = cex_seed(opts.seed, round, lowest, true);
-                if !split_by_init_cex(aig, partition, opts, seed, &xi, obs) {
-                    return Err(Abort::Resource(
-                        "internal inconsistency: batched init counterexample did not split".into(),
-                    ));
-                }
-                ctx.bank.push(BankPattern::Init { inputs: xi, seed });
-                split = true;
-                live.retain(|&(_, m, r)| co_classed(partition, m, r));
-            }
-        }
-    }
-    Ok(BatchOut::Done { split })
-}
-
-/// The batched serial round: the same canonical pair enumeration as
-/// the per-pair sweep, cut into batches of [`Options::batch_pairs`]
-/// resolved by [`flush_pair_batch`]. Newly created classes are
-/// enumerated within the round, exactly like the per-pair sweep
-/// re-visits them, so a batched no-split round certifies the same
-/// fixed point.
-fn run_round_batched(
-    aig: &Aig,
-    partition: &mut Partition,
-    ticker: &mut ProgressTicker,
-    ctx: &mut RoundCtx,
-) -> Result<Round, Abort> {
-    let batch = ctx.opts.batch_pairs;
-    let mut changed = false;
-    let mut pending: Vec<(u64, Var, Var)> = Vec::new();
-    let mut seq = 0u64;
-    let mut ci = 0;
-    loop {
-        while ci < partition.num_classes() {
-            ctx.deadline.check()?;
-            if ticker.ready() {
-                event!(
-                    ctx.obs,
-                    "progress",
-                    round = ctx.round,
-                    classes = partition.num_classes(),
-                    conflicts = ctx.u.solver.stats().conflicts,
-                    elapsed_ms = ticker.elapsed_ms()
-                );
-            }
-            let members = partition.class(ci);
-            if members.len() >= 2 {
-                let r = members[0];
-                for i in 1..members.len() {
-                    pending.push((seq, partition.class(ci)[i], r));
-                    seq += 1;
-                }
-            }
-            ci += 1;
-            while pending.len() >= batch {
-                let chunk: Vec<(u64, Var, Var)> = pending.drain(..batch).collect();
-                match flush_pair_batch(aig, partition, ctx, &chunk)? {
-                    BatchOut::Budget => return Ok(Round::Budget),
-                    BatchOut::Done { split } => changed |= split,
-                }
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        let chunk: Vec<(u64, Var, Var)> = std::mem::take(&mut pending);
-        match flush_pair_batch(aig, partition, ctx, &chunk)? {
-            BatchOut::Budget => return Ok(Round::Budget),
-            BatchOut::Done { split } => changed |= split,
-        }
-        // Flushing may have split classes into fresh ones past `ci`;
-        // loop to enumerate them before declaring the round done.
-    }
-    Ok(if changed {
-        Round::Refined
-    } else {
-        Round::NoSplit
-    })
-}
-
 /// Theorem 1's `Q_msc ⇒ λ` check at the fixed point: the solver still
-/// carries `Q_{T_fix}` on frame 0 (hard or via the live activation
-/// literal), so each output pair is one more query on the current
-/// frame. Returns `None` when a query exhausted the conflict budget.
+/// carries `Q_{T_fix}` on frame 0 behind the live activation literal
+/// `act`, so each output pair is one more query on the current frame.
+/// Returns `None` when a query exhausted the conflict budget.
 fn check_outputs(
     u: &mut Unrolling,
     partition: &Partition,
-    act: Option<SatLit>,
+    act: SatLit,
     output_pairs: &[(Lit, Lit)],
     obs: &Obs,
 ) -> Result<Option<bool>, Abort> {
@@ -882,26 +396,13 @@ fn check_outputs(
     }
     for &(a, b) in output_pairs {
         let d = u.out_diff(a, b);
-        let assumptions = match act {
-            Some(act) => vec![act, d],
-            None => vec![d],
-        };
-        match query(&mut u.solver, &assumptions, obs)? {
+        match query(&mut u.solver, &[act, d], obs)? {
             Query::Budget => return Ok(None),
             Query::Sat => return Ok(Some(false)),
             Query::Unsat => {}
         }
     }
     Ok(Some(true))
-}
-
-/// How the incremental driver ended.
-enum Incremental {
-    /// Reached the fixed point; carries the Theorem-1 verdict
-    /// (`Q_msc ⇒ λ`).
-    Done(bool),
-    /// Conflict budget exhausted: resume on the monolithic path.
-    FallBack,
 }
 
 /// Opens this round's span and bumps the `rounds` counter; the caller
@@ -921,91 +422,6 @@ fn close_round(obs: &Obs, sp: &mut sec_obs::Span, partition: &Partition, classes
     obs.add(Counter::Splits, splits);
     sp.record("splits", splits);
     sp.record("classes", partition.num_classes());
-}
-
-/// The incremental driver: one solver for the whole fixed point,
-/// per-round activation literals, learned clauses persisting across
-/// rounds.
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
-    aig: &Aig,
-    partition: &mut Partition,
-    opts: &Options,
-    deadline: &Deadline,
-    output_pairs: &[(Lit, Lit)],
-    struct_eqs: &[(Var, Lit)],
-    bank: &mut PatternBank,
-    obs: &Obs,
-    ticker: &mut ProgressTicker,
-) -> Result<Incremental, Abort> {
-    let mut u = Unrolling::build(aig);
-    obs.add(Counter::SatSolverConstructions, 1);
-    u.assert_struct_eqs(struct_eqs);
-    // The solver polls the same deadline/token from its search loop,
-    // so a long query stops within milliseconds of cancellation.
-    u.solver.set_limits(deadline.limits());
-    u.solver.set_obs(obs.clone());
-    u.solver.set_conflict_budget(opts.sat_conflict_budget);
-    let mut meter = SatMeter::new(obs);
-    let mut init_eq: HashSet<(Var, Var)> = HashSet::new();
-    let mut round_no = 0usize;
-    let result = 'run: {
-        loop {
-            if let Err(e) = deadline.check() {
-                break 'run Err(e);
-            }
-            deadline.tick();
-            round_no += 1;
-            let mut sp = open_round(obs, round_no);
-            let classes_before = partition.num_classes();
-            // Banked patterns replay before this round's `Q` is
-            // asserted, so the assertion covers the replayed splits.
-            replay_bank(aig, partition, opts, struct_eqs, bank, obs);
-            let act = u.solver.new_var().positive();
-            u.assert_q(partition, Some(act));
-            let round = {
-                let mut ctx = RoundCtx {
-                    opts,
-                    deadline,
-                    u: &mut u,
-                    act: Some(act),
-                    round: round_no,
-                    obs,
-                    struct_eqs,
-                    bank,
-                    init_eq: &mut init_eq,
-                };
-                run_round(aig, partition, ticker, &mut ctx)
-            };
-            close_round(obs, &mut sp, partition, classes_before);
-            drop(sp);
-            match round {
-                Err(e) => break 'run Err(e),
-                Ok(Round::Budget) => break 'run Ok(Incremental::FallBack),
-                Ok(Round::NoSplit) => {
-                    break 'run match check_outputs(&mut u, partition, Some(act), output_pairs, obs)
-                    {
-                        Err(e) => Err(e),
-                        Ok(None) => Ok(Incremental::FallBack),
-                        Ok(Some(ok)) => Ok(Incremental::Done(ok)),
-                    };
-                }
-                Ok(Round::Refined) => {
-                    // Retract this round's Q: the guard can never be
-                    // assumed again, and all its clauses are satisfied —
-                    // then reclaim them, or the watch lists drag an
-                    // ever-growing pile of dead activation clauses
-                    // through every later round.
-                    u.solver.add_clause(&[!act]);
-                    u.solver.simplify_level0();
-                }
-            }
-        }
-    };
-    // One flush covers the whole solver lifetime — including an abort
-    // mid-round, so trace totals never undercount interrupted work.
-    meter.flush(&u.solver);
-    result
 }
 
 /// Length cap on clauses exchanged between workers: long learnts
@@ -1085,9 +501,10 @@ enum WorkerRound {
     Abort(Abort),
 }
 
-/// One sharded worker's persistent state: its own solver over the
-/// shared CNF, living for the whole fixed point like the incremental
-/// path's single solver.
+/// One pool worker's state: its own solver over the shared CNF —
+/// persistent across rounds in incremental mode, re-cloned from the
+/// base encoding every round in rebuild mode — plus the cross-round
+/// condition-1 cache.
 struct Worker {
     u: Unrolling,
     meter: SatMeter,
@@ -1097,7 +514,7 @@ struct Worker {
     prev_act: Option<SatLit>,
     /// Clause-export cursors of this worker's solver (see
     /// [`Solver::export_learnts`]); they survive rounds so each learnt
-    /// is published at most once over the whole fixed point.
+    /// is published at most once over the solver's lifetime.
     clause_cursor: usize,
     trail_cursor: usize,
     /// Pairs this worker has proven equal on the initial frame. The
@@ -1108,6 +525,33 @@ struct Worker {
     /// normalized `(member, representative)` pair — a split that gives
     /// `m` a new representative makes a new key and re-proves.
     init_eq: HashSet<(Var, Var)>,
+}
+
+impl Worker {
+    /// A worker over a freshly cloned solver, counted in
+    /// `sat_solver_constructions`.
+    fn new(mut u: Unrolling, budget: Option<u64>, obs: &Obs) -> Worker {
+        obs.add(Counter::SatSolverConstructions, 1);
+        u.solver.set_obs(obs.clone());
+        u.solver.set_conflict_budget(budget);
+        Worker {
+            u,
+            meter: SatMeter::new(obs),
+            prev_act: None,
+            clause_cursor: 0,
+            trail_cursor: 0,
+            init_eq: HashSet::new(),
+        }
+    }
+
+    /// Rebuild mode: takes over `fresh`'s solver, flushing the retired
+    /// solver's totals first. The condition-1 cache survives — a
+    /// proof on the initial frame holds in every solver.
+    fn replace_solver(&mut self, fresh: Worker) {
+        self.meter.flush(&self.u.solver);
+        let init_eq = std::mem::take(&mut self.init_eq);
+        *self = Worker { init_eq, ..fresh };
+    }
 }
 
 /// The static dependency structure behind hot-first pair scheduling.
@@ -1331,10 +775,10 @@ struct WorkerCtx<'a> {
     struct_eqs: &'a [(Var, Lit)],
 }
 
-/// How one worker's sweep over the steal queues ended.
+/// Why a worker's sweep over the steal queues ended early.
 enum SweepEnd {
-    /// Queues drained or the pool's stop token tripped; the witnesses
-    /// collected so far are valid either way.
+    /// The pool's stop token tripped; the witnesses collected so far
+    /// are valid.
     Stopped,
     /// A query exhausted the per-query conflict budget.
     Budget,
@@ -1436,63 +880,182 @@ fn publish_witness(ctx: &WorkerCtx, seq: u64, kind: &CexKind) {
     ctx.pool.sig_count.store(sigs.len(), Ordering::Release);
 }
 
-/// Sweeps one chunk with the batched protocol (see
-/// [`flush_pair_batch`]; this is its worker-side twin): condition-2
-/// sub-batches of up to [`Options::batch_pairs`] pairs, then
-/// condition-1 over the proven survivors behind [`Worker::init_eq`].
-/// A satisfiable batch yields *one* witness, keyed to the lowest
-/// decoded pair's canonical `seq`; every decoded pair drops from the
-/// batch without a proof — sound exactly like witness pruning, since
+/// One worker's state for the length of one round: the round's
+/// activation literal, the witnesses found so far, the local view of
+/// the published witness signatures, and — on worker 0 only — the
+/// run's heartbeat ticker.
+struct Sweep<'t> {
+    act: SatLit,
+    cexes: Vec<WorkerCex>,
+    queries: u64,
+    sigs: Vec<Arc<SharedSig>>,
+    ticker: Option<&'t mut ProgressTicker>,
+}
+
+impl Sweep<'_> {
+    /// Worker 0's heartbeat, polled between chunks and between
+    /// queries: a `progress` event with the round, the live class
+    /// count, and this worker's solver conflicts, so a single long
+    /// round still reports at the configured interval.
+    fn heartbeat(&mut self, w: &Worker, ctx: &WorkerCtx) {
+        if let Some(t) = &mut self.ticker {
+            if t.ready() {
+                event!(
+                    ctx.obs,
+                    "progress",
+                    round = ctx.round,
+                    classes = ctx.partition.num_classes(),
+                    conflicts = w.u.solver.stats().conflicts,
+                    elapsed_ms = t.elapsed_ms()
+                );
+            }
+        }
+    }
+
+    /// Whether a published witness already separates `(m, r)`, so the
+    /// merge will split the pair and its query is redundant.
+    fn pruned(&mut self, ctx: &WorkerCtx, m: Var, r: Var) -> bool {
+        if !ctx.opts.sat_share_witnesses {
+            return false;
+        }
+        refresh_sigs(ctx, &mut self.sigs);
+        let hit = self
+            .sigs
+            .iter()
+            .any(|sig| sig.separates(ctx.partition, m, r));
+        if hit {
+            ctx.obs.add(Counter::WitnessPrunedPairs, 1);
+        }
+        hit
+    }
+}
+
+/// Runs one query under the round's activation literal plus `lit`,
+/// accounting it against the round's query budget. `Ok(true)` is
+/// satisfiable. An interrupted query ends the sweep — quietly with
+/// [`SweepEnd::Stopped`] when a sibling tripped the pool's stop token,
+/// as an abort otherwise — and is never read as `Unsat`.
+fn pool_query(
+    w: &mut Worker,
+    ctx: &WorkerCtx,
+    sw: &mut Sweep,
+    lit: SatLit,
+) -> Result<bool, SweepEnd> {
+    sw.queries += 1;
+    ctx.pool.note_query();
+    match query(&mut w.u.solver, &[sw.act, lit], ctx.obs) {
+        Ok(Query::Sat) => Ok(true),
+        Ok(Query::Unsat) => Ok(false),
+        Ok(Query::Budget) => Err(SweepEnd::Budget),
+        Err(a) => Err(match sibling_or_abort(a, ctx.deadline) {
+            None => SweepEnd::Stopped,
+            Some(real) => SweepEnd::Abort(real),
+        }),
+    }
+}
+
+/// Reads the witness of a satisfiable query out of the worker's model,
+/// publishes its signature when witness sharing is on, and hands it to
+/// the merge keyed by the canonical `seq` of the pair it refutes.
+fn take_witness(w: &Worker, ctx: &WorkerCtx, sw: &mut Sweep, seq: u64, init: bool) {
+    ctx.obs.add(Counter::WorkerCexes, 1);
+    let kind = if init {
+        CexKind::Init {
+            xi: w.u.read_inputs(&w.u.xi_in),
+        }
+    } else {
+        CexKind::TwoFrame {
+            s: w.u.read_inputs(&w.u.s_in),
+            xt: w.u.read_inputs(&w.u.x0_in),
+            xt1: w.u.read_inputs(&w.u.x1_in),
+        }
+    };
+    if ctx.opts.sat_share_witnesses {
+        publish_witness(ctx, seq, &kind);
+    }
+    sw.cexes.push(WorkerCex { seq, kind });
+    ctx.pool.note_witness();
+}
+
+/// Sweeps one chunk pair by pair: a witness-prune check against the
+/// published signatures, then the condition-2 and condition-1 queries.
+/// A refuted pair skips its other condition — the merge will split it.
+fn pair_chunk_sweep(
+    w: &mut Worker,
+    ctx: &WorkerCtx,
+    sw: &mut Sweep,
+    chunk: &[(u64, Var, Var)],
+) -> Result<(), SweepEnd> {
+    for &(seq, m, r) in chunk {
+        if ctx.pool.stop.is_cancelled() {
+            return Err(SweepEnd::Stopped);
+        }
+        sw.heartbeat(w, ctx);
+        if sw.pruned(ctx, m, r) {
+            continue;
+        }
+        for init in [false, true] {
+            // Condition 1 is partition-independent (see
+            // [`Worker::init_eq`]): skip it once proven.
+            if init && w.init_eq.contains(&(m, r)) {
+                continue;
+            }
+            let d = w.u.pair_diff(ctx.partition, m, r, init);
+            if pool_query(w, ctx, sw, d)? {
+                take_witness(w, ctx, sw, seq, init);
+                break;
+            }
+            if init {
+                w.init_eq.insert((m, r));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Sweeps one chunk with the batched protocol: condition-2 sub-batches
+/// of up to [`Options::batch_pairs`] pairs, then condition 1 over the
+/// proven survivors behind [`Worker::init_eq`]. Each sub-batch gets one
+/// fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
+/// pairs' cached difference literals, and `b` assumed alongside the
+/// round activation. **Unsat** proves all `k` pairs at once — the
+/// assumption set is the per-pair query's plus `b`, so it certifies
+/// exactly what `k` per-pair Unsat answers would. **Sat** yields one
+/// witness, keyed to the lowest decoded pair's canonical `seq`; every
+/// pair the model separates drops from the batch without a proof, and
+/// the rest re-solves. Dropping is sound exactly like witness pruning:
 /// a dropped pair that somehow survives the merge is re-enumerated
 /// next round, and certification still requires a zero-witness full
-/// sweep. Returns `None` when the chunk was fully processed.
-#[allow(clippy::too_many_arguments)]
+/// sweep. Each batch literal is retired with the unit `¬b`.
 fn batched_chunk_sweep(
     w: &mut Worker,
-    act: SatLit,
     ctx: &WorkerCtx,
+    sw: &mut Sweep,
     chunk: &[(u64, Var, Var)],
-    sigs: &mut Vec<Arc<SharedSig>>,
-    cexes: &mut Vec<WorkerCex>,
-    queries: &mut u64,
-) -> Option<SweepEnd> {
-    // Witness-prune at chunk intake, as the per-pair sweep does per
-    // pair.
+) -> Result<(), SweepEnd> {
     let mut live: Vec<(u64, Var, Var)> = Vec::new();
     for &(seq, m, r) in chunk {
         if ctx.pool.stop.is_cancelled() {
-            return Some(SweepEnd::Stopped);
+            return Err(SweepEnd::Stopped);
         }
-        if ctx.opts.sat_share_witnesses {
-            refresh_sigs(ctx, sigs);
-            if sigs.iter().any(|sig| sig.separates(ctx.partition, m, r)) {
-                ctx.obs.add(Counter::WitnessPrunedPairs, 1);
-                continue;
-            }
+        if !sw.pruned(ctx, m, r) {
+            live.push((seq, m, r));
         }
-        live.push((seq, m, r));
     }
-    let batch_size = ctx.opts.batch_pairs;
     for init in [false, true] {
         // Condition 2 runs over the whole chunk; condition 1 only over
         // the pairs condition 2 proved, minus the cross-round cache.
-        let todo: Vec<(u64, Var, Var)> = if init {
-            std::mem::take(&mut live)
-                .into_iter()
-                .filter(|&(_, m, r)| !w.init_eq.contains(&(m, r)))
-                .collect()
-        } else {
-            std::mem::take(&mut live)
-        };
-        let mut idx = 0;
-        while idx < todo.len() {
-            let hi = (idx + batch_size).min(todo.len());
-            let mut batch: Vec<(u64, Var, Var)> = todo[idx..hi].to_vec();
-            idx = hi;
+        let mut todo = std::mem::take(&mut live);
+        if init {
+            todo.retain(|&(_, m, r)| !w.init_eq.contains(&(m, r)));
+        }
+        for sub in todo.chunks(ctx.opts.batch_pairs) {
+            let mut batch = sub.to_vec();
             while !batch.is_empty() {
                 if ctx.pool.stop.is_cancelled() {
-                    return Some(SweepEnd::Stopped);
+                    return Err(SweepEnd::Stopped);
                 }
+                sw.heartbeat(w, ctx);
                 let ds: Vec<SatLit> = batch
                     .iter()
                     .map(|&(_, m, r)| w.u.pair_diff(ctx.partition, m, r, init))
@@ -1501,92 +1064,59 @@ fn batched_chunk_sweep(
                 let mut clause = vec![!b];
                 clause.extend_from_slice(&ds);
                 w.u.solver.add_clause(&clause);
-                *queries += 1;
-                ctx.pool.note_query();
                 ctx.obs.add(Counter::BatchedCalls, 1);
-                let q = query(&mut w.u.solver, &[act, b], ctx.obs);
+                let sat = pool_query(w, ctx, sw, b);
                 w.u.solver.add_clause(&[!b]);
-                match q {
-                    Err(a) => {
-                        return Some(match sibling_or_abort(a, ctx.deadline) {
-                            None => SweepEnd::Stopped,
-                            Some(real) => SweepEnd::Abort(real),
-                        })
+                if !sat? {
+                    if init {
+                        w.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
+                    } else {
+                        live.append(&mut batch);
                     }
-                    Ok(Query::Budget) => return Some(SweepEnd::Budget),
-                    Ok(Query::Unsat) => {
-                        if init {
-                            for &(_, m, r) in &batch {
-                                w.init_eq.insert((m, r));
-                            }
-                        } else {
-                            live.append(&mut batch);
-                        }
-                        batch.clear();
-                    }
-                    Ok(Query::Sat) => {
-                        let sep: Vec<bool> =
-                            ds.iter().map(|&d| w.u.solver.model_value(d)).collect();
-                        let decoded = sep.iter().filter(|&&x| x).count() as u64;
-                        ctx.obs.add(Counter::BatchPairsDecoded, decoded);
-                        ctx.obs.add(Counter::WorkerCexes, 1);
-                        let lowest = batch
-                            .iter()
-                            .zip(&sep)
-                            .filter(|&(_, &x)| x)
-                            .map(|(&(seq, _, _), _)| seq)
-                            .min()
-                            .unwrap_or(batch[0].0);
-                        let kind = if init {
-                            CexKind::Init {
-                                xi: w.u.read_inputs(&w.u.xi_in),
-                            }
-                        } else {
-                            CexKind::TwoFrame {
-                                s: w.u.read_inputs(&w.u.s_in),
-                                xt: w.u.read_inputs(&w.u.x0_in),
-                                xt1: w.u.read_inputs(&w.u.x1_in),
-                            }
-                        };
-                        if ctx.opts.sat_share_witnesses {
-                            publish_witness(ctx, lowest, &kind);
-                        }
-                        cexes.push(WorkerCex { seq: lowest, kind });
-                        ctx.pool.note_witness();
-                        let keep: Vec<(u64, Var, Var)> = batch
-                            .iter()
-                            .zip(&sep)
-                            .filter(|&(_, &x)| !x)
-                            .map(|(&p, _)| p)
-                            .collect();
-                        batch = keep;
-                    }
+                    break;
                 }
+                let sep: Vec<bool> = ds.iter().map(|&d| w.u.solver.model_value(d)).collect();
+                let decoded = sep.iter().filter(|&&x| x).count() as u64;
+                ctx.obs.add(Counter::BatchPairsDecoded, decoded);
+                let lowest = batch
+                    .iter()
+                    .zip(&sep)
+                    .filter(|&(_, &x)| x)
+                    .map(|(&(seq, _, _), _)| seq)
+                    .min()
+                    .unwrap_or(batch[0].0);
+                take_witness(w, ctx, sw, lowest, init);
+                batch = batch
+                    .iter()
+                    .zip(&sep)
+                    .filter(|&(_, &x)| !x)
+                    .map(|(&p, _)| p)
+                    .collect();
             }
         }
     }
-    None
+    Ok(())
 }
 
-/// Sweeps chunks off the steal queues for one round: per pair, a
-/// witness-prune check against the published signatures, then the
-/// condition-2 and condition-1 queries, collecting every witness found
-/// — the pool's stop rules decide when the round has enough. Clauses
-/// are exchanged at chunk boundaries; with [`Options::batch_pairs`]
-/// ≥ 2 each chunk runs through [`batched_chunk_sweep`] instead of the
-/// per-pair loop. The query count lands in the drain event.
+/// Sweeps chunks off the steal queues for one round, collecting every
+/// witness found — the pool's stop rules decide when the round has
+/// enough. Clauses are exchanged at chunk boundaries when a sibling
+/// exists to import them; with [`Options::batch_pairs`] ≥ 2 each chunk
+/// runs through [`batched_chunk_sweep`], else [`pair_chunk_sweep`].
 fn worker_sweep(
     w: &mut Worker,
     wid: usize,
-    act: SatLit,
     ctx: &WorkerCtx,
-    cexes: &mut Vec<WorkerCex>,
-    queries: &mut u64,
-) -> SweepEnd {
-    let mut sigs: Vec<Arc<SharedSig>> = Vec::new();
+    sw: &mut Sweep,
+) -> Result<(), SweepEnd> {
+    let share_clauses = ctx.opts.sat_share_clauses && ctx.queues.workers() > 1;
     let mut imported_upto = 0usize;
     let mut first_chunk = true;
-    while let Some((chunk, stolen)) = ctx.queues.next_chunk(wid) {
+    loop {
+        sw.heartbeat(w, ctx);
+        let Some((chunk, stolen)) = ctx.queues.next_chunk(wid) else {
+            return Ok(());
+        };
         if stolen {
             ctx.obs.add(Counter::WorkerSteals, 1);
             event!(
@@ -1597,77 +1127,13 @@ fn worker_sweep(
                 pairs = chunk.len()
             );
         }
-        if ctx.opts.sat_share_clauses {
-            if let Err(e) = exchange_clauses(w, wid, ctx, &mut imported_upto) {
-                return SweepEnd::Abort(e);
-            }
+        if share_clauses {
+            exchange_clauses(w, wid, ctx, &mut imported_upto).map_err(SweepEnd::Abort)?;
         }
         if ctx.opts.batch_pairs >= 2 {
-            if let Some(end) = batched_chunk_sweep(w, act, ctx, &chunk, &mut sigs, cexes, queries) {
-                return end;
-            }
-            if std::mem::take(&mut first_chunk) {
-                std::thread::yield_now();
-            }
-            continue;
-        }
-        for &(seq, m, r) in &chunk {
-            if ctx.pool.stop.is_cancelled() {
-                return SweepEnd::Stopped;
-            }
-            if ctx.opts.sat_share_witnesses {
-                refresh_sigs(ctx, &mut sigs);
-                if sigs.iter().any(|sig| sig.separates(ctx.partition, m, r)) {
-                    ctx.obs.add(Counter::WitnessPrunedPairs, 1);
-                    continue;
-                }
-            }
-            for init in [false, true] {
-                // Condition 1 is partition-independent (see
-                // [`Worker::init_eq`]): skip it once proven.
-                if init && w.init_eq.contains(&(m, r)) {
-                    continue;
-                }
-                let d = w.u.pair_diff(ctx.partition, m, r, init);
-                *queries += 1;
-                ctx.pool.note_query();
-                match query(&mut w.u.solver, &[act, d], ctx.obs) {
-                    Err(a) => {
-                        return match sibling_or_abort(a, ctx.deadline) {
-                            None => SweepEnd::Stopped,
-                            Some(real) => SweepEnd::Abort(real),
-                        }
-                    }
-                    Ok(Query::Budget) => return SweepEnd::Budget,
-                    Ok(Query::Unsat) => {
-                        if init {
-                            w.init_eq.insert((m, r));
-                        }
-                    }
-                    Ok(Query::Sat) => {
-                        ctx.obs.add(Counter::WorkerCexes, 1);
-                        let kind = if init {
-                            CexKind::Init {
-                                xi: w.u.read_inputs(&w.u.xi_in),
-                            }
-                        } else {
-                            CexKind::TwoFrame {
-                                s: w.u.read_inputs(&w.u.s_in),
-                                xt: w.u.read_inputs(&w.u.x0_in),
-                                xt1: w.u.read_inputs(&w.u.x1_in),
-                            }
-                        };
-                        if ctx.opts.sat_share_witnesses {
-                            publish_witness(ctx, seq, &kind);
-                        }
-                        cexes.push(WorkerCex { seq, kind });
-                        ctx.pool.note_witness();
-                        // Pair refuted: its other condition's query is
-                        // moot, the merge will split it.
-                        break;
-                    }
-                }
-            }
+            batched_chunk_sweep(w, ctx, sw, &chunk)?;
+        } else {
+            pair_chunk_sweep(w, ctx, sw, &chunk)?;
         }
         // Each worker's first owned chunk is its share of the hot
         // pairs. On an oversubscribed host the OS runs one thread per
@@ -1678,14 +1144,19 @@ fn worker_sweep(
             std::thread::yield_now();
         }
     }
-    SweepEnd::Stopped
 }
 
-/// One worker's round, run on its own thread: retract last round's `Q`,
-/// assert this round's under a fresh activation literal, sweep the
-/// steal queues. A worker that ends the round abnormally trips the pool
-/// stop flag so its siblings cut their sweeps short.
-fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -> WorkerRound {
+/// One worker's round: retract last round's `Q`, assert this round's
+/// under a fresh activation literal, sweep the steal queues. A worker
+/// that ends the round abnormally trips the pool stop flag so its
+/// siblings cut their sweeps short.
+fn worker_round(
+    w: &mut Worker,
+    wid: usize,
+    own_pairs: usize,
+    ctx: &WorkerCtx,
+    ticker: Option<&mut ProgressTicker>,
+) -> WorkerRound {
     // The solver polls the external deadline/token *and* the pool stop
     // flag from its search loop.
     w.u.solver
@@ -1701,7 +1172,7 @@ fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -
         w.clause_cursor = w.u.solver.export_cursor();
     }
     let act = w.u.solver.new_var().positive();
-    w.u.assert_q(ctx.partition, Some(act));
+    w.u.assert_q(ctx.partition, act);
     w.prev_act = Some(act);
     ctx.obs.add(Counter::WorkerSpawns, 1);
     event!(
@@ -1711,12 +1182,17 @@ fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -
         round = ctx.round,
         pairs = own_pairs
     );
-    let mut cexes = Vec::new();
-    let mut queries = 0u64;
-    let out = match worker_sweep(w, wid, act, ctx, &mut cexes, &mut queries) {
-        SweepEnd::Stopped => WorkerRound::Done(cexes),
-        SweepEnd::Budget => WorkerRound::Budget,
-        SweepEnd::Abort(a) => WorkerRound::Abort(a),
+    let mut sw = Sweep {
+        act,
+        cexes: Vec::new(),
+        queries: 0,
+        sigs: Vec::new(),
+        ticker,
+    };
+    let out = match worker_sweep(w, wid, ctx, &mut sw) {
+        Ok(()) | Err(SweepEnd::Stopped) => WorkerRound::Done(sw.cexes),
+        Err(SweepEnd::Budget) => WorkerRound::Budget,
+        Err(SweepEnd::Abort(a)) => WorkerRound::Abort(a),
     };
     if !matches!(out, WorkerRound::Done(_)) {
         ctx.pool.stop.cancel();
@@ -1726,7 +1202,7 @@ fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -
         "worker.drain",
         worker = wid,
         round = ctx.round,
-        queries = queries,
+        queries = sw.queries,
         found = match &out {
             WorkerRound::Done(c) => c.len() as u64,
             _ => 0,
@@ -1735,16 +1211,20 @@ fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -
     out
 }
 
-/// The sharded driver: up to `opts.jobs` workers — clamped to the
-/// seed partition's candidate-pair count, so an oversubscribed
-/// `--jobs` never constructs solvers that could never be busy — each
-/// owning a clone of the two-frame encoding (solver included) that
-/// persists across every round. Every round, the canonical pair
-/// enumeration is rotated by a deterministic cursor, cut into chunks,
-/// and dealt round-robin onto work-stealing deques: workers pull from
-/// their own queue and steal from siblings when empty, exchange
-/// learned clauses and witness signatures between chunks, and stop
-/// when the pool's round-stop rules fire (see [`RoundPool`]).
+/// Runs the greatest fixed-point iteration with the SAT engine,
+/// returning the Theorem-1 verdict (`Q_msc ⇒ λ`) at the fixed point.
+///
+/// The one driver for every jobs count: a pool of up to `opts.jobs`
+/// workers — clamped to the seed partition's candidate-pair count, so
+/// an oversubscribed `--jobs` never constructs solvers that could never
+/// be busy — each owning a clone of the two-frame encoding (solver
+/// included). Every round, the canonical pair enumeration is rotated by
+/// a deterministic cursor, cut into chunks, and dealt round-robin onto
+/// work-stealing deques: workers pull from their own queue and steal
+/// from siblings when empty, exchange learned clauses and witness
+/// signatures between chunks, and stop when the pool's round-stop
+/// rules fire (see [`RoundPool`]). Worker 0 runs on the calling thread
+/// and carries the heartbeat ticker, so `jobs = 1` spawns no thread.
 ///
 /// Workers return raw witnesses; only this driver mutates the
 /// partition, merging the witnesses in ascending `seq` order with
@@ -1756,55 +1236,36 @@ fn worker_round(w: &mut Worker, wid: usize, own_pairs: usize, ctx: &WorkerCtx) -
 /// argument is in `docs/PARALLEL.md`).
 ///
 /// On any worker exhausting its conflict budget the round's witnesses
-/// are discarded and the caller falls back to the monolithic path from
-/// the round-start partition — deterministic regardless of how far the
-/// sibling workers got before the stop flag reached them.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
+/// are discarded, the budget is dropped, and the round is redone in
+/// rebuild mode from the unchanged round-start partition —
+/// deterministic regardless of how far the sibling workers got before
+/// the stop flag reached them.
+pub(crate) fn run_fixed_point(
     aig: &Aig,
     partition: &mut Partition,
     opts: &Options,
     deadline: &Deadline,
     output_pairs: &[(Lit, Lit)],
     struct_eqs: &[(Var, Lit)],
-    bank: &mut PatternBank,
-    obs: &Obs,
-    ticker: &mut ProgressTicker,
-) -> Result<Incremental, Abort> {
-    let jobs = opts.jobs.max(1);
+) -> Result<bool, Abort> {
+    let obs = &opts.obs;
+    // Heartbeats only make sense with somewhere to send them; gating
+    // on the handle keeps the disabled-path cost at one branch.
+    let mut ticker = ProgressTicker::new(opts.progress_interval.filter(|_| obs.is_enabled()));
     // Pairs only ever disappear as the partition refines, so the seed
     // partition's pair count bounds every round's useful parallelism.
     let initial_pairs: usize = partition
         .multi_classes()
         .map(|ci| partition.class(ci).len() - 1)
         .sum();
-    let pool_size = jobs.min(initial_pairs.max(1));
-    // Encode once, clone per worker: each worker gets its own solver
-    // over the shared CNF and keeps it for the whole fixed point, so
-    // clauses it learns about its pairs persist across rounds. The
-    // collapsed structural equalities land on the base encoding before
-    // cloning: they are over frame-0 variables (below the sharing
-    // frontier) and present in every worker, so clause sharing stays
-    // sound with them in the common theory.
-    let mut base = Unrolling::build(aig);
-    base.assert_struct_eqs(struct_eqs);
-    let mut workers: Vec<Worker> = (0..pool_size)
-        .map(|_| {
-            let mut u = base.clone();
-            obs.add(Counter::SatSolverConstructions, 1);
-            u.solver.set_obs(obs.clone());
-            u.solver.set_conflict_budget(opts.sat_conflict_budget);
-            Worker {
-                u,
-                meter: SatMeter::new(obs),
-                prev_act: None,
-                clause_cursor: 0,
-                trail_cursor: 0,
-                init_eq: HashSet::new(),
-            }
-        })
-        .collect();
-    drop(base);
+    let pool_size = opts.jobs.max(1).min(initial_pairs.max(1));
+    // Encode once, clone per worker. Workers are created on first use;
+    // the last one incremental mode will ever need takes the base
+    // encoding itself, while rebuild mode keeps it to re-clone from.
+    let mut base = Some(Unrolling::build(aig, struct_eqs));
+    let mut rebuild = !opts.sat_incremental;
+    let mut budget = opts.sat_conflict_budget.filter(|_| !rebuild);
+    let mut workers: Vec<Worker> = Vec::with_capacity(pool_size);
     let mut round_no = 0usize;
     // Deterministic rotation of the sweep window: rounds stop early
     // once they hold witnesses, so always sweeping from pair 0 would
@@ -1821,230 +1282,240 @@ fn run_sharded(
     let mut hot: HashSet<usize> = HashSet::new();
     let mut hot_latches = vec![0u64; dep.words];
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let result = 'run: {
-        loop {
-            if let Err(e) = deadline.check() {
-                break 'run Err(e);
-            }
-            deadline.tick();
-            round_no += 1;
-            if ticker.ready() {
-                event!(
-                    obs,
-                    "progress",
-                    round = round_no,
-                    classes = partition.num_classes(),
-                    elapsed_ms = ticker.elapsed_ms()
-                );
-            }
-            let mut sp = open_round(obs, round_no);
-            let classes_before = partition.num_classes();
-            // Banked patterns replay before the pair enumeration (and
-            // before the workers assert this round's `Q`), so replayed
-            // splits cost no queries and the round sweeps the already-
-            // refined classes.
-            replay_bank(aig, partition, opts, struct_eqs, bank, obs);
-            // Canonical pair enumeration: multi-member classes in
-            // ascending order, members against their representative.
-            // The global sequence number is the deterministic merge
-            // order and is assigned *before* any scan-order shuffling,
-            // so it names the same pair in every round regardless of
-            // the cursor or the hot-first split.
-            //
-            // Scan order (which never affects the verdict — the merge
-            // is seq-canonical) front-loads the *hot* pairs: members of
-            // classes the previous merge touched. A refinement cascade
-            // breaks equivalences near the classes that just split, so
-            // hot pairs are where this round's witnesses concentrate —
-            // scanning them first collapses the witness-less prefix
-            // that otherwise pins every round's query count.
-            let mut pairs: Vec<(u64, Var, Var)> = Vec::new();
-            let mut cold: Vec<(u64, Var, Var)> = Vec::new();
-            let mut seq = 0u64;
-            let class_ids: Vec<usize> = partition.multi_classes().collect();
-            let mut class_sizes: Vec<(usize, usize)> = Vec::with_capacity(class_ids.len());
-            for &ci in &class_ids {
-                let members = partition.class(ci);
-                class_sizes.push((ci, members.len()));
-                let r = members[0];
-                let class_hot = hot.contains(&ci);
-                for &m in &members[1..] {
-                    let out = if class_hot || dep.depends(m, r, &hot_latches) {
-                        &mut pairs
-                    } else {
-                        &mut cold
-                    };
-                    out.push((seq, m, r));
-                    seq += 1;
-                }
-            }
-            let n_pairs = pairs.len() + cold.len();
-            // Per-round clamp: never more workers than pairs. The
-            // query budget is keyed to the *requested* parallelism —
-            // the knob that sets round granularity — while the spawn
-            // count may clamp further (see [`SPAWN_AMORTIZE`]).
-            let requested = pool_size.min(n_pairs.max(1));
-            let query_budget = (n_pairs as u64 / requested as u64).max(MIN_ROUND_QUERIES);
-            let amortized = (SPAWN_AMORTIZE * query_budget / n_pairs.max(1) as u64).max(1) as usize;
-            let spawned = requested.min(hw.max(amortized));
-            // The cold tail still rotates: rounds stop early once they
-            // hold witnesses, so a fixed cold order would starve the
-            // tail of the enumeration whenever the hot set runs dry.
-            if !cold.is_empty() {
-                let offset = (rotate % cold.len() as u64) as usize;
-                cold.rotate_left(offset);
-                rotate = rotate.wrapping_add((n_pairs / spawned) as u64 + 1);
-            }
-            let hot_len = pairs.len();
-            pairs.append(&mut cold);
-            let chunk_pairs = if opts.sat_chunk_pairs > 0 {
-                opts.sat_chunk_pairs
-            } else {
-                // ~8 chunks per worker: enough granularity for stealing
-                // to rebalance, few enough exchanges to stay cheap.
-                (n_pairs / (spawned * 8)).clamp(4, 64)
-            };
-            let mut chunks_of: Vec<Vec<Vec<(u64, Var, Var)>>> = vec![Vec::new(); spawned];
-            let mut own_pairs = vec![0usize; spawned];
-            // The hot segment is dealt evenly, one chunk per worker, so
-            // every worker's first pops are hot pairs — otherwise the
-            // workers whose round-robin share is all-cold would spend
-            // the round's early queries where no witness is expected.
-            let (hotp, coldp) = pairs.split_at(hot_len);
-            let mut ci = 0usize;
-            for c in hotp.chunks(hot_len.div_ceil(spawned).max(1)) {
-                own_pairs[ci % spawned] += c.len();
-                chunks_of[ci % spawned].push(c.to_vec());
-                ci += 1;
-            }
-            for c in coldp.chunks(chunk_pairs) {
-                own_pairs[ci % spawned] += c.len();
-                chunks_of[ci % spawned].push(c.to_vec());
-                ci += 1;
-            }
-            let pool = RoundPool::new(spawned * WITNESS_TARGET_PER_WORKER, query_budget);
-            let outcomes: Vec<WorkerRound> = {
-                let queues = StealQueues::new(chunks_of, &pool.stop);
-                let ctx = WorkerCtx {
-                    aig,
-                    partition,
-                    opts,
-                    deadline,
-                    queues: &queues,
-                    pool: &pool,
-                    round: round_no,
-                    obs,
-                    struct_eqs,
+    let result = loop {
+        if let Err(e) = deadline.check() {
+            break Err(e);
+        }
+        deadline.tick();
+        round_no += 1;
+        let mut sp = open_round(obs, round_no);
+        let classes_before = partition.num_classes();
+        // Canonical pair enumeration: multi-member classes in
+        // ascending order, members against their representative.
+        // The global sequence number is the deterministic merge
+        // order and is assigned *before* any scan-order shuffling,
+        // so it names the same pair in every round regardless of
+        // the cursor or the hot-first split.
+        //
+        // Scan order (which never affects the verdict — the merge
+        // is seq-canonical) front-loads the *hot* pairs: members of
+        // classes the previous merge touched. A refinement cascade
+        // breaks equivalences near the classes that just split, so
+        // hot pairs are where this round's witnesses concentrate —
+        // scanning them first collapses the witness-less prefix
+        // that otherwise pins every round's query count.
+        let mut pairs: Vec<(u64, Var, Var)> = Vec::new();
+        let mut cold: Vec<(u64, Var, Var)> = Vec::new();
+        let mut seq = 0u64;
+        let class_ids: Vec<usize> = partition.multi_classes().collect();
+        let mut class_sizes: Vec<(usize, usize)> = Vec::with_capacity(class_ids.len());
+        for &ci in &class_ids {
+            let members = partition.class(ci);
+            class_sizes.push((ci, members.len()));
+            let r = members[0];
+            let class_hot = hot.contains(&ci);
+            for &m in &members[1..] {
+                let out = if class_hot || dep.depends(m, r, &hot_latches) {
+                    &mut pairs
+                } else {
+                    &mut cold
                 };
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = workers[..spawned]
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(wid, w)| {
-                            let ctx = &ctx;
-                            let own = own_pairs[wid];
-                            s.spawn(move || worker_round(w, wid, own, ctx))
-                        })
-                        .collect();
+                out.push((seq, m, r));
+                seq += 1;
+            }
+        }
+        let n_pairs = pairs.len() + cold.len();
+        // Per-round clamp: never more workers than pairs. The
+        // query budget is keyed to the *requested* parallelism —
+        // the knob that sets round granularity — while the spawn
+        // count may clamp further (see [`SPAWN_AMORTIZE`]).
+        let requested = pool_size.min(n_pairs.max(1));
+        let query_budget = (n_pairs as u64 / requested as u64).max(MIN_ROUND_QUERIES);
+        let amortized = (SPAWN_AMORTIZE * query_budget / n_pairs.max(1) as u64).max(1) as usize;
+        let spawned = requested.min(hw.max(amortized));
+        // The cold tail still rotates: rounds stop early once they
+        // hold witnesses, so a fixed cold order would starve the
+        // tail of the enumeration whenever the hot set runs dry.
+        if !cold.is_empty() {
+            let offset = (rotate % cold.len() as u64) as usize;
+            cold.rotate_left(offset);
+            rotate = rotate.wrapping_add((n_pairs / spawned) as u64 + 1);
+        }
+        let hot_len = pairs.len();
+        pairs.append(&mut cold);
+        let chunk_pairs = if opts.sat_chunk_pairs > 0 {
+            opts.sat_chunk_pairs
+        } else {
+            // ~8 chunks per worker: enough granularity for stealing
+            // to rebalance, few enough exchanges to stay cheap — but
+            // never narrower than a batch, or a lone worker would pay
+            // one underfull batched call per chunk.
+            (n_pairs / (spawned * 8)).clamp(4, 64).max(opts.batch_pairs)
+        };
+        let mut chunks_of: Vec<Vec<Vec<(u64, Var, Var)>>> = vec![Vec::new(); spawned];
+        let mut own_pairs = vec![0usize; spawned];
+        // The hot segment is dealt evenly, one chunk per worker, so
+        // every worker's first pops are hot pairs — otherwise the
+        // workers whose round-robin share is all-cold would spend
+        // the round's early queries where no witness is expected. A
+        // lone worker gets the whole hot segment as one chunk.
+        let (hotp, coldp) = pairs.split_at(hot_len);
+        let mut ci = 0usize;
+        for c in hotp.chunks(hot_len.div_ceil(spawned).max(1)) {
+            own_pairs[ci % spawned] += c.len();
+            chunks_of[ci % spawned].push(c.to_vec());
+            ci += 1;
+        }
+        for c in coldp.chunks(chunk_pairs) {
+            own_pairs[ci % spawned] += c.len();
+            chunks_of[ci % spawned].push(c.to_vec());
+            ci += 1;
+        }
+        // Bring up this round's workers: a fresh solver for each new
+        // worker and, in rebuild mode, for every worker every round.
+        for wid in 0..spawned {
+            if wid < workers.len() && !rebuild {
+                continue;
+            }
+            let u = if !rebuild && wid + 1 == pool_size {
+                base.take()
+            } else {
+                base.clone()
+            }
+            .expect("the base encoding outlives every worker it seeds");
+            let fresh = Worker::new(u, budget, obs);
+            match workers.get_mut(wid) {
+                Some(w) => w.replace_solver(fresh),
+                None => workers.push(fresh),
+            }
+        }
+        let pool = RoundPool::new(spawned * WITNESS_TARGET_PER_WORKER, query_budget);
+        let outcomes: Vec<WorkerRound> = {
+            let queues = StealQueues::new(chunks_of, &pool.stop);
+            let ctx = WorkerCtx {
+                aig,
+                partition,
+                opts,
+                deadline,
+                queues: &queues,
+                pool: &pool,
+                round: round_no,
+                obs,
+                struct_eqs,
+            };
+            let (first, rest) = workers[..spawned]
+                .split_first_mut()
+                .expect("every round runs at least one worker");
+            std::thread::scope(|s| {
+                let handles: Vec<_> = rest
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, w)| {
+                        let ctx = &ctx;
+                        let own = own_pairs[i + 1];
+                        s.spawn(move || worker_round(w, i + 1, own, ctx, None))
+                    })
+                    .collect();
+                let mut outs = vec![worker_round(
+                    first,
+                    0,
+                    own_pairs[0],
+                    &ctx,
+                    Some(&mut ticker),
+                )];
+                outs.extend(
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("sharded worker panicked"))
-                        .collect()
-                })
-            };
-            let mut abort: Option<Abort> = None;
-            let mut budget = false;
-            let mut cexes: Vec<WorkerCex> = Vec::new();
-            for out in outcomes {
-                match out {
-                    WorkerRound::Abort(a) => abort = Some(abort.unwrap_or(a)),
-                    WorkerRound::Budget => budget = true,
-                    WorkerRound::Done(c) => cexes.extend(c),
-                }
+                        .map(|h| h.join().expect("pool worker panicked")),
+                );
+                outs
+            })
+        };
+        let mut abort: Option<Abort> = None;
+        let mut budget_hit = false;
+        let mut cexes: Vec<WorkerCex> = Vec::new();
+        for out in outcomes {
+            match out {
+                WorkerRound::Abort(a) => abort = Some(abort.unwrap_or(a)),
+                WorkerRound::Budget => budget_hit = true,
+                WorkerRound::Done(c) => cexes.extend(c),
             }
-            if let Some(a) = abort {
-                close_round(obs, &mut sp, partition, classes_before);
-                break 'run Err(a);
-            }
-            if budget {
-                close_round(obs, &mut sp, partition, classes_before);
-                break 'run Ok(Incremental::FallBack);
-            }
-            if cexes.is_empty() {
+        }
+        if let Some(a) = abort {
+            close_round(obs, &mut sp, partition, classes_before);
+            break Err(a);
+        }
+        if budget_hit || cexes.is_empty() {
+            close_round(obs, &mut sp, partition, classes_before);
+            drop(sp);
+            if !budget_hit {
                 // Zero witnesses means neither round-stop rule fired:
                 // every chunk was delivered, no pair was pruned (the
                 // signature pool stayed empty all round), and every
                 // query answered Unsat — a full certified sweep, so the
                 // partition is the fixed point. Worker 0's round `Q` is
                 // still active for the Theorem-1 output check.
-                close_round(obs, &mut sp, partition, classes_before);
-                drop(sp);
-                let act = workers[0].prev_act;
-                let checked = check_outputs(&mut workers[0].u, partition, act, output_pairs, obs);
-                break 'run match checked {
-                    Err(e) => Err(e),
-                    Ok(None) => Ok(Incremental::FallBack),
-                    Ok(Some(ok)) => Ok(Incremental::Done(ok)),
-                };
-            }
-            // Merge: refine by every witness in canonical order, each
-            // with the seed its pair's query would use regardless of
-            // which worker ran it. A later witness may legitimately
-            // split nothing (an earlier one may already have separated
-            // its pair), but the lowest-`seq` witness satisfies the
-            // asserted round-start `Q` and violates its pair's
-            // equality, so the round as a whole must refine.
-            cexes.sort_by_key(|c| c.seq);
-            let mut changed = false;
-            for c in &cexes {
-                changed |= match &c.kind {
-                    CexKind::TwoFrame { s, xt, xt1 } => {
-                        let seed = cex_seed(opts.seed, round_no, c.seq, false);
-                        let hit = split_by_two_frame_cex(
-                            aig, partition, opts, seed, s, xt, xt1, struct_eqs, obs,
-                        );
-                        bank.push(BankPattern::TwoFrame {
-                            state: s.clone(),
-                            inputs_t: xt.clone(),
-                            inputs_t1: xt1.clone(),
-                            seed,
-                        });
-                        hit
-                    }
-                    CexKind::Init { xi } => {
-                        let seed = cex_seed(opts.seed, round_no, c.seq, true);
-                        let hit = split_by_init_cex(aig, partition, opts, seed, xi, obs);
-                        bank.push(BankPattern::Init {
-                            inputs: xi.clone(),
-                            seed,
-                        });
-                        hit
-                    }
-                };
-            }
-            // Re-derive the hot sets from what this merge did: every
-            // class it created, plus every surviving class it shrank,
-            // and the latches those classes' members influence.
-            hot.clear();
-            hot.extend(classes_before..partition.num_classes());
-            for &(ci, len) in &class_sizes {
-                if partition.class(ci).len() != len {
-                    hot.insert(ci);
+                let act = workers[0].prev_act.expect("worker 0 runs every round");
+                match check_outputs(&mut workers[0].u, partition, act, output_pairs, obs) {
+                    Err(e) => break Err(e),
+                    Ok(Some(ok)) => break Ok(ok),
+                    Ok(None) => {}
                 }
             }
-            hot_latches.fill(0);
-            for &ci in &hot {
-                for &v in partition.class(ci) {
-                    dep.mark_hot(v, &mut hot_latches);
+            // A query exhausted the conflict budget: drop the budget
+            // and redo the round in rebuild mode from the round-start
+            // partition (this round merged nothing).
+            event!(obs, "sat.fallback", reason = "conflict budget exhausted");
+            budget = None;
+            rebuild = true;
+            if base.is_none() {
+                base = Some(Unrolling::build(aig, struct_eqs));
+            }
+            continue;
+        }
+        // Merge: refine by every witness in canonical order, each
+        // with the seed its pair's query would use regardless of
+        // which worker ran it. A later witness may legitimately
+        // split nothing (an earlier one may already have separated
+        // its pair), but the lowest-`seq` witness satisfies the
+        // asserted round-start `Q` and violates its pair's
+        // equality, so the round as a whole must refine.
+        cexes.sort_by_key(|c| c.seq);
+        let mut changed = false;
+        for c in &cexes {
+            changed |= match &c.kind {
+                CexKind::TwoFrame { s, xt, xt1 } => {
+                    let seed = cex_seed(opts.seed, round_no, c.seq, false);
+                    split_by_two_frame_cex(aig, partition, opts, seed, s, xt, xt1, struct_eqs, obs)
                 }
+                CexKind::Init { xi } => {
+                    let seed = cex_seed(opts.seed, round_no, c.seq, true);
+                    split_by_init_cex(aig, partition, opts, seed, xi, obs)
+                }
+            };
+        }
+        // Re-derive the hot sets from what this merge did: every
+        // class it created, plus every surviving class it shrank,
+        // and the latches those classes' members influence.
+        hot.clear();
+        hot.extend(classes_before..partition.num_classes());
+        for &(ci, len) in &class_sizes {
+            if partition.class(ci).len() != len {
+                hot.insert(ci);
             }
-            close_round(obs, &mut sp, partition, classes_before);
-            drop(sp);
-            if !changed {
-                break 'run Err(Abort::Resource(
-                    "internal inconsistency: sharded counterexamples did not split".into(),
-                ));
+        }
+        hot_latches.fill(0);
+        for &ci in &hot {
+            for &v in partition.class(ci) {
+                dep.mark_hot(v, &mut hot_latches);
             }
+        }
+        close_round(obs, &mut sp, partition, classes_before);
+        drop(sp);
+        if !changed {
+            break Err(Abort::Resource(
+                "internal inconsistency: pool counterexamples did not split".into(),
+            ));
         }
     };
     // Flush every worker's solver totals — conflicts, decisions,
@@ -2054,148 +1525,4 @@ fn run_sharded(
         w.meter.flush(&w.u.solver);
     }
     result
-}
-
-/// The monolithic driver: the pre-incremental behaviour — a fresh
-/// solver and CNF per refinement round, hard `Q` clauses. Kept both as
-/// the `sat_incremental: false` ablation baseline and as the graceful
-/// fall-back when the incremental path exhausts its conflict budget.
-/// Returns the Theorem-1 verdict at the fixed point.
-#[allow(clippy::too_many_arguments)]
-fn run_monolithic(
-    aig: &Aig,
-    partition: &mut Partition,
-    opts: &Options,
-    deadline: &Deadline,
-    output_pairs: &[(Lit, Lit)],
-    struct_eqs: &[(Var, Lit)],
-    bank: &mut PatternBank,
-    obs: &Obs,
-    ticker: &mut ProgressTicker,
-) -> Result<bool, Abort> {
-    // Condition-1 proofs outlive the per-round solvers: the query is
-    // partition-independent (see [`RoundCtx::init_eq`]), so a fresh
-    // solver re-proving it every round would be pure waste.
-    let mut init_eq: HashSet<(Var, Var)> = HashSet::new();
-    let mut round_no = 0usize;
-    loop {
-        deadline.check()?;
-        deadline.tick();
-        round_no += 1;
-        let mut sp = open_round(obs, round_no);
-        let classes_before = partition.num_classes();
-        // Replay before the build, so the fresh solver's hard `Q`
-        // already covers the replayed splits.
-        replay_bank(aig, partition, opts, struct_eqs, bank, obs);
-        let mut u = Unrolling::build(aig);
-        obs.add(Counter::SatSolverConstructions, 1);
-        u.assert_struct_eqs(struct_eqs);
-        u.solver.set_limits(deadline.limits());
-        u.solver.set_obs(obs.clone());
-        u.assert_q(partition, None);
-        let mut meter = SatMeter::new(obs);
-        let round = {
-            let mut ctx = RoundCtx {
-                opts,
-                deadline,
-                u: &mut u,
-                act: None,
-                round: round_no,
-                obs,
-                struct_eqs,
-                bank,
-                init_eq: &mut init_eq,
-            };
-            run_round(aig, partition, ticker, &mut ctx)
-        };
-        close_round(obs, &mut sp, partition, classes_before);
-        drop(sp);
-        let outcome = match round {
-            Err(e) => Err(e),
-            Ok(Round::Budget) => {
-                // No budget is ever set on this path.
-                Err(Abort::Resource(
-                    "internal inconsistency: budget exhausted on the monolithic path".into(),
-                ))
-            }
-            Ok(Round::NoSplit) => check_outputs(&mut u, partition, None, output_pairs, obs)
-                .map(|ok| Some(ok.expect("no budget on the monolithic path"))),
-            Ok(Round::Refined) => Ok(None),
-        };
-        // This round's solver is dropped on the next iteration: flush
-        // its totals now, abort or not.
-        meter.flush(&u.solver);
-        match outcome? {
-            Some(ok) => return Ok(ok),
-            None => continue,
-        }
-    }
-}
-
-/// Runs the greatest fixed-point iteration with the SAT engine,
-/// returning the Theorem-1 verdict (`Q_msc ⇒ λ`) at the fixed point.
-///
-/// Dispatches to the incremental or monolithic driver per
-/// [`Options::sat_incremental`]; a conflict-budget exhaustion on the
-/// incremental path resumes monolithically from the current partition
-/// (sound: every split already applied is justified, and the final
-/// no-split round is always validated under its own `Q`).
-pub(crate) fn run_fixed_point(
-    aig: &Aig,
-    partition: &mut Partition,
-    opts: &Options,
-    deadline: &Deadline,
-    output_pairs: &[(Lit, Lit)],
-    struct_eqs: &[(Var, Lit)],
-    bank: &mut PatternBank,
-) -> Result<bool, Abort> {
-    let obs = &opts.obs;
-    // Heartbeats only make sense with somewhere to send them; gating
-    // on the handle keeps the disabled-path cost at one branch.
-    let mut ticker = ProgressTicker::new(opts.progress_interval.filter(|_| obs.is_enabled()));
-    if opts.sat_incremental {
-        // The sharded pool is an incremental-path variant: per-worker
-        // persistent solvers over one shared encoding. `jobs == 1` is
-        // exactly the single-threaded driver, untouched.
-        let inc = if opts.jobs > 1 {
-            run_sharded(
-                aig,
-                partition,
-                opts,
-                deadline,
-                output_pairs,
-                struct_eqs,
-                bank,
-                obs,
-                &mut ticker,
-            )
-        } else {
-            run_incremental(
-                aig,
-                partition,
-                opts,
-                deadline,
-                output_pairs,
-                struct_eqs,
-                bank,
-                obs,
-                &mut ticker,
-            )
-        };
-        if let Incremental::Done(ok) = inc? {
-            return Ok(ok);
-        }
-        sec_obs::event!(obs, "sat.fallback", reason = "conflict budget exhausted");
-    }
-    run_monolithic(
-        aig,
-        partition,
-        opts,
-        deadline,
-        output_pairs,
-        struct_eqs,
-        bank,
-        obs,
-        &mut ticker,
-    )
 }

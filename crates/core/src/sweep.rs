@@ -17,7 +17,6 @@ use crate::options::{Backend, Options};
 use crate::{bdd_backend, sat_backend};
 use sec_netlist::{check as check_circuit, Aig, CheckError, Lit, Node, Var};
 use sec_obs::{emit_snapshot, Counter, Recorder};
-use sec_sim::PatternBank;
 use std::sync::Arc;
 
 /// Statistics of a [`sequential_sweep`] run.
@@ -94,28 +93,13 @@ pub fn sequential_sweep(aig: &Aig, opts: &Options) -> Result<(Aig, SweepStats), 
     } else {
         Vec::new()
     };
-    let mut bank = PatternBank::new(
-        if opts.backend == Backend::Sat {
-            opts.pattern_bank_words
-        } else {
-            0
-        },
-        opts.sat_amplify_words.max(1),
-    );
-    bank.extend(opts.pattern_bank_seed.iter().cloned());
     let fixed_point = match opts.backend {
         Backend::Bdd => {
             bdd_backend::run_fixed_point(aig, &mut partition, opts, &deadline, None, &[])
         }
-        Backend::Sat => sat_backend::run_fixed_point(
-            aig,
-            &mut partition,
-            opts,
-            &deadline,
-            &[],
-            &collapsed,
-            &mut bank,
-        ),
+        Backend::Sat => {
+            sat_backend::run_fixed_point(aig, &mut partition, opts, &deadline, &[], &collapsed)
+        }
     };
     reattach_collapsed(&mut partition, &collapsed);
     stats.iterations = recorder.counter(Counter::Rounds) as usize;

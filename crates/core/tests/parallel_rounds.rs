@@ -11,7 +11,9 @@ use sec_core::{correspondence_partition, Checker, Options, OptionsBuilder, Parti
 use sec_gen::{counter, mixed, CounterKind};
 use sec_limits::CancellationToken;
 use sec_netlist::{Aig, ProductMachine, Var};
+use sec_obs::{Counter, Obs, Recorder};
 use sec_synth::{forward_retime, unshare_latch_cones, RetimeOptions};
+use std::sync::Arc;
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
@@ -85,6 +87,40 @@ fn verdict_and_splits_are_jobs_invariant() {
                 "pair {i}: jobs={jobs}"
             );
         }
+    }
+}
+
+#[test]
+fn one_worker_pool_runs_inline_without_steals_or_exports() {
+    // `jobs = 1` is a one-worker pool: one worker run per round, one
+    // solver for the whole fixed point, nothing to steal from and no
+    // sibling to export clauses to.
+    for (i, (spec, imp)) in pairs().into_iter().enumerate() {
+        let recorder = Recorder::new();
+        let r = Checker::new(
+            &spec,
+            &imp,
+            OptionsBuilder::sat()
+                .jobs(1)
+                // One fixed point, no BMC solver: every construction
+                // counted below belongs to the pool.
+                .retime_rounds(0)
+                .bmc_depth(0)
+                .obs(Obs::multi(vec![Arc::new(recorder.clone())]))
+                .build(),
+        )
+        .unwrap()
+        .run();
+        assert_eq!(r.verdict, Verdict::Equivalent, "pair {i}");
+        assert!(r.stats.iterations > 0, "pair {i}");
+        assert_eq!(
+            recorder.counter(Counter::WorkerSpawns),
+            r.stats.iterations as u64,
+            "pair {i}: one worker run per round"
+        );
+        assert_eq!(recorder.counter(Counter::WorkerSteals), 0, "pair {i}");
+        assert_eq!(recorder.counter(Counter::ClausesShared), 0, "pair {i}");
+        assert_eq!(r.stats.sat_solver_constructions, 1, "pair {i}");
     }
 }
 

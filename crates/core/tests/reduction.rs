@@ -1,15 +1,14 @@
 //! The candidate-set reduction pipeline must be invisible in the
 //! result.
 //!
-//! Structural collapsing (`strash`), pattern-bank replay
-//! (`pattern_bank_words`), and batched pair queries (`batch_pairs`)
-//! each change which solver queries run — never what the fixed point
-//! is. Every counterexample-guided split (amplified, replayed, or
+//! Structural collapsing (`strash`) and batched pair queries
+//! (`batch_pairs`) each change which solver queries run — never what
+//! the fixed point is. Every counterexample-guided split (amplified or
 //! batch-decoded) preserves "the true correspondence refines the
 //! current partition", and a run only terminates at a certified
 //! no-split sweep, so the partition reached is the unique coarsest
 //! inductive one refining the seed. These tests pin that down: every
-//! knob combination, serial and sharded, must land on the exact
+//! knob combination, at one worker and at four, must land on the exact
 //! partition and verdict the pipeline-off configuration computes.
 
 use sec_core::{correspondence_partition, Checker, Options, OptionsBuilder, Partition, Verdict};
@@ -25,7 +24,7 @@ fn fingerprint(aig: &Aig, p: &Partition) -> (Vec<Vec<Var>>, Vec<bool>) {
 }
 
 /// Pairs with real structural sharing (so `strash` collapses
-/// something) and enough rounds for the bank and batches to matter.
+/// something) and enough rounds for the batches to matter.
 fn pairs() -> Vec<(Aig, Aig)> {
     vec![
         {
@@ -46,23 +45,20 @@ fn pairs() -> Vec<(Aig, Aig)> {
     ]
 }
 
-/// Every knob combination: strash × bank × batch.
-fn knob_grid() -> Vec<(bool, usize, usize)> {
+/// Every knob combination: strash × batch.
+fn knob_grid() -> Vec<(bool, usize)> {
     let mut grid = Vec::new();
     for strash in [false, true] {
-        for bank in [0usize, 256] {
-            for batch in [0usize, 2, 32] {
-                grid.push((strash, bank, batch));
-            }
+        for batch in [0usize, 2, 32] {
+            grid.push((strash, batch));
         }
     }
     grid
 }
 
-fn opts_with(strash: bool, bank: usize, batch: usize, jobs: usize) -> Options {
+fn opts_with(strash: bool, batch: usize, jobs: usize) -> Options {
     OptionsBuilder::sat()
         .strash(strash)
-        .pattern_bank_words(bank)
         .batch_pairs(batch)
         .jobs(jobs)
         .build()
@@ -72,17 +68,16 @@ fn opts_with(strash: bool, bank: usize, batch: usize, jobs: usize) -> Options {
 fn pipeline_knobs_never_change_the_fixed_point() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
         let pm = ProductMachine::build(&spec, &imp).unwrap().aig;
-        // Reference: everything off, serial.
-        let reference = correspondence_partition(&pm, &opts_with(false, 0, 0, 1)).unwrap();
+        // Reference: everything off, one worker.
+        let reference = correspondence_partition(&pm, &opts_with(false, 0, 1)).unwrap();
         let want = fingerprint(&pm, &reference);
-        for (strash, bank, batch) in knob_grid() {
+        for (strash, batch) in knob_grid() {
             for jobs in [1usize, 4] {
-                let got =
-                    correspondence_partition(&pm, &opts_with(strash, bank, batch, jobs)).unwrap();
+                let got = correspondence_partition(&pm, &opts_with(strash, batch, jobs)).unwrap();
                 assert_eq!(
                     fingerprint(&pm, &got),
                     want,
-                    "pair {i}: strash={strash} bank={bank} batch={batch} jobs={jobs} \
+                    "pair {i}: strash={strash} batch={batch} jobs={jobs} \
                      diverged from the pipeline-off fixed point"
                 );
             }
@@ -93,26 +88,26 @@ fn pipeline_knobs_never_change_the_fixed_point() {
 #[test]
 fn pipeline_knobs_never_change_verdict_or_partition_summary() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
-        let baseline = Checker::new(&spec, &imp, opts_with(false, 0, 0, 1))
+        let baseline = Checker::new(&spec, &imp, opts_with(false, 0, 1))
             .unwrap()
             .run();
         assert_eq!(baseline.verdict, Verdict::Equivalent, "pair {i}");
-        for (strash, bank, batch) in knob_grid() {
+        for (strash, batch) in knob_grid() {
             for jobs in [1usize, 4] {
-                let r = Checker::new(&spec, &imp, opts_with(strash, bank, batch, jobs))
+                let r = Checker::new(&spec, &imp, opts_with(strash, batch, jobs))
                     .unwrap()
                     .run();
                 assert_eq!(
                     r.verdict, baseline.verdict,
-                    "pair {i}: strash={strash} bank={bank} batch={batch} jobs={jobs}"
+                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
                 );
                 assert_eq!(
                     r.stats.classes, baseline.stats.classes,
-                    "pair {i}: strash={strash} bank={bank} batch={batch} jobs={jobs}"
+                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
                 );
                 assert_eq!(
                     r.stats.eqs_percent, baseline.stats.eqs_percent,
-                    "pair {i}: strash={strash} bank={bank} batch={batch} jobs={jobs}"
+                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
                 );
             }
         }
@@ -127,10 +122,10 @@ fn full_pipeline_cuts_solver_calls_on_a_shared_structure_pair() {
     // 10x bound, this test keeps a coarser floor in the tier-1 suite.
     let spec = mixed(14, 5);
     let imp = unshare_latch_cones(&spec, 0.9, 4);
-    let off = Checker::new(&spec, &imp, opts_with(false, 0, 0, 1))
+    let off = Checker::new(&spec, &imp, opts_with(false, 0, 1))
         .unwrap()
         .run();
-    let on = Checker::new(&spec, &imp, opts_with(true, 256, 32, 1))
+    let on = Checker::new(&spec, &imp, opts_with(true, 32, 1))
         .unwrap()
         .run();
     assert_eq!(on.verdict, off.verdict);
@@ -142,41 +137,4 @@ fn full_pipeline_cuts_solver_calls_on_a_shared_structure_pair() {
     );
     assert!(on.stats.strash_merged > 0, "nothing collapsed");
     assert!(on.stats.batched_calls > 0, "nothing batched");
-}
-
-#[test]
-fn bank_seed_warm_start_replays_and_agrees() {
-    // A second run seeded with the first run's banked patterns splits
-    // the seed partition by replay (bank_splits > 0) before the first
-    // solver round, and still lands on the identical verdict and
-    // partition summary.
-    let spec = mixed(14, 5);
-    let imp = unshare_latch_cones(&spec, 0.9, 4);
-    let cold = Checker::new(&spec, &imp, opts_with(false, 256, 0, 1))
-        .unwrap()
-        .run();
-    assert_eq!(cold.verdict, Verdict::Equivalent);
-    assert!(
-        !cold.patterns.is_empty(),
-        "a run with refinement rounds must bank its witnesses"
-    );
-    let warm_opts = OptionsBuilder::sat()
-        .strash(false)
-        .pattern_bank_words(256)
-        .batch_pairs(0)
-        .pattern_bank_seed(cold.patterns.clone())
-        .build();
-    let warm = Checker::new(&spec, &imp, warm_opts).unwrap().run();
-    assert_eq!(warm.verdict, cold.verdict);
-    assert_eq!(warm.stats.classes, cold.stats.classes);
-    assert!(
-        warm.stats.bank_splits > 0,
-        "seeded patterns must replay into splits before the solver runs"
-    );
-    assert!(
-        warm.stats.sat_solver_calls < cold.stats.sat_solver_calls,
-        "warm: {} calls, cold: {} calls",
-        warm.stats.sat_solver_calls,
-        cold.stats.sat_solver_calls
-    );
 }

@@ -3,12 +3,12 @@
 //! The maximum signal correspondence relation is a *unique* object:
 //! every counterexample-guided split preserves "the true relation
 //! refines the current partition", so whichever engine runs the
-//! iteration — incremental SAT with a persistent solver, the monolithic
-//! fresh-solver-per-round SAT path, or BDDs — must land on exactly the
-//! same final partition (same classes, same phases). These tests pin
-//! that down on product machines of seeded circuit pairs, including
-//! under counterexample amplification and under a conflict budget that
-//! forces the incremental path to fall back mid-run.
+//! iteration — SAT with persistent solvers (incremental mode), SAT with
+//! a fresh solver per round (rebuild mode), or BDDs — must land on
+//! exactly the same final partition (same classes, same phases). These
+//! tests pin that down on product machines of seeded circuit pairs,
+//! including under counterexample amplification and under a conflict
+//! budget that forces the incremental mode to fall back mid-run.
 //!
 //! Cancellation must surface as `Unknown`: an interrupted SAT query is
 //! never read as "unsatisfiable", so a cancelled run can never certify
@@ -67,10 +67,23 @@ fn all_sat_variants_match_the_bdd_fixed_point() {
         ),
         (
             // A 1-conflict budget trips on the first hard query and
-            // falls back to the monolithic path mid-run: the mixed
-            // trajectory must still reach the same fixed point.
+            // falls back to rebuild mode mid-run: the mixed trajectory
+            // must still reach the same fixed point.
             "incremental, tiny conflict budget",
             OptionsBuilder::sat().sat_conflict_budget(Some(1)).build(),
+        ),
+        (
+            // The same fallback when the budget trips in one of four
+            // workers while its siblings are mid-sweep.
+            "incremental, tiny conflict budget, 4 workers",
+            OptionsBuilder::sat()
+                .jobs(4)
+                .sat_conflict_budget(Some(1))
+                .build(),
+        ),
+        (
+            "monolithic, 4 workers",
+            OptionsBuilder::sat_monolithic().jobs(4).build(),
         ),
     ];
     for (i, aig) in product_machines().into_iter().enumerate() {
@@ -110,7 +123,7 @@ fn incremental_builds_one_solver_monolithic_one_per_round() {
     );
     assert_eq!(
         mono.stats.sat_solver_constructions, mono.stats.iterations,
-        "monolithic path builds one solver per refinement round"
+        "rebuild mode builds one solver per refinement round"
     );
     assert!(inc.stats.sat_solver_calls > 0);
 }

@@ -186,8 +186,9 @@ counters! {
         SatPropagations => "sat_propagations",
         /// SAT restarts.
         SatRestarts => "sat_restarts",
-        /// SAT solvers constructed (1 per fixed point on the
-        /// incremental path, one per round on the monolithic path).
+        /// SAT solvers constructed (one per pool worker per fixed
+        /// point in incremental mode, one per worker per round in
+        /// rebuild mode).
         SatSolverConstructions => "sat_solver_constructions",
         /// Individual SAT solve calls.
         SatSolverCalls => "sat_solver_calls",
@@ -209,8 +210,8 @@ counters! {
         BmcFrames => "bmc_frames",
         /// Symbolic-traversal image steps.
         TraversalImageSteps => "traversal_image_steps",
-        /// Worker solvers spawned into sharded refinement rounds
-        /// (`jobs` per SAT fixed point when sharding is on).
+        /// Workers run in SAT refinement rounds: one per worker per
+        /// round, so a one-worker pool counts one per round.
         WorkerSpawns => "worker_spawns",
         /// Counterexamples returned by shard workers to the merging
         /// driver (before deterministic re-validation against the live
@@ -236,10 +237,6 @@ counters! {
         /// (`Options::strash`); they rejoin their representative's
         /// class at the end without ever costing a solver query.
         StrashMerged => "strash_merged",
-        /// Partition splits discharged by replaying the persistent
-        /// pattern bank (`Options::pattern_bank_words`) instead of a
-        /// SAT counterexample.
-        BankSplits => "bank_splits",
         /// Batched pair-equality queries issued
         /// (`Options::batch_pairs`): one solver call covering several
         /// candidate pairs under one assumption set.

@@ -117,9 +117,9 @@ pub struct PortfolioOptions {
     pub engine_timeout: Option<Duration>,
     /// RNG seed forwarded to the correspondence engines.
     pub seed: u64,
-    /// Worker threads of the SAT correspondence engine's sharded
-    /// refinement rounds (forwarded to [`sec_core::Options::jobs`]);
-    /// `1` keeps that engine single-threaded.
+    /// Workers of the SAT correspondence engine's refinement pool
+    /// (forwarded to [`sec_core::Options::jobs`]); `1` is a one-worker
+    /// pool that spawns no thread beyond the engine's own.
     pub jobs: usize,
     /// Frame bound of the BMC engine.
     pub bmc_depth: usize,
@@ -231,8 +231,8 @@ pub struct EngineReport {
     pub peak_bdd_nodes: usize,
     /// SAT conflicts.
     pub sat_conflicts: u64,
-    /// SAT solvers constructed (1 per fixed point on the incremental
-    /// path, one per refinement round on the monolithic path).
+    /// SAT solvers constructed (one per pool worker per fixed point in
+    /// incremental mode, one per worker per round in rebuild mode).
     pub sat_solver_constructions: u64,
     /// Individual SAT solve calls.
     pub sat_solver_calls: u64,

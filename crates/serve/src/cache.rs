@@ -12,10 +12,9 @@
 
 use sec_core::PartitionSnapshot;
 use sec_netlist::Fingerprint;
-use sec_sim::{BankPattern, Trace};
+use sec_sim::Trace;
 use sec_trace::{parse_json, Json};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The cached outcome of one definitive check.
@@ -38,11 +37,6 @@ pub struct CacheEntry {
     pub ordered_digest: u64,
     /// Final partition snapshot of the producing run.
     pub snapshot: PartitionSnapshot,
-    /// Counterexample-seeded simulation patterns banked by the
-    /// producing run; a revalidating job replays them before its first
-    /// solver round. Subject to the same `ordered_digest` gate as the
-    /// snapshot. Empty for runs without a pattern bank.
-    pub patterns: Vec<BankPattern>,
 }
 
 /// Monotonic cache traffic counters.
@@ -230,40 +224,6 @@ pub fn encode_entry(entry: &CacheEntry) -> String {
         entry.classes, entry.signals, entry.eqs_percent, entry.rounds
     ));
     out.push_str(&format!(",\"ordered_digest\":{}", entry.ordered_digest));
-    // Optional: absent for pattern-less entries, so files written by
-    // older daemons and by bank-less runs stay byte-identical.
-    if !entry.patterns.is_empty() {
-        out.push_str(",\"patterns\":[");
-        for (i, p) in entry.patterns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match p {
-                BankPattern::TwoFrame {
-                    state,
-                    inputs_t,
-                    inputs_t1,
-                    seed,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"k\":\"t\",\"s\":\"{}\",\"i0\":\"{}\",\"i1\":\"{}\",\"seed\":{seed}}}",
-                        bits_to_string(state),
-                        bits_to_string(inputs_t),
-                        bits_to_string(inputs_t1)
-                    );
-                }
-                BankPattern::Init { inputs, seed } => {
-                    let _ = write!(
-                        out,
-                        "{{\"k\":\"i\",\"i0\":\"{}\",\"seed\":{seed}}}",
-                        bits_to_string(inputs)
-                    );
-                }
-            }
-        }
-        out.push(']');
-    }
     let snap = &entry.snapshot;
     out.push_str(&format!(
         ",\"snapshot\":{{\"num_nodes\":{},\"phase\":\"{}\",\"classes\":[",
@@ -285,24 +245,6 @@ pub fn encode_entry(entry: &CacheEntry) -> String {
     }
     out.push_str("]}}");
     out
-}
-
-fn decode_pattern(p: &Json) -> Option<BankPattern> {
-    let bits = |key: &str| p.get(key).and_then(Json::as_str).and_then(string_to_bits);
-    let seed = p.get("seed").and_then(Json::as_u64)?;
-    match p.get("k").and_then(Json::as_str)? {
-        "t" => Some(BankPattern::TwoFrame {
-            state: bits("s")?,
-            inputs_t: bits("i0")?,
-            inputs_t1: bits("i1")?,
-            seed,
-        }),
-        "i" => Some(BankPattern::Init {
-            inputs: bits("i0")?,
-            seed,
-        }),
-        _ => None,
-    }
 }
 
 /// Parses [`encode_entry`] output; `None` on any shape mismatch.
@@ -342,21 +284,11 @@ pub fn decode_entry(text: &str) -> Option<CacheEntry> {
             _ => None,
         })
         .collect();
-    // Tolerant: absent → no banked patterns (pre-pattern cache files);
-    // a present-but-malformed array rejects the entry like any other
-    // shape mismatch.
-    let patterns = match v.get("patterns") {
-        None => Vec::new(),
-        Some(Json::Arr(raw)) => {
-            let decoded: Option<Vec<BankPattern>> = raw.iter().map(decode_pattern).collect();
-            decoded?
-        }
-        Some(_) => return None,
-    };
+    // Earlier daemons also wrote a `patterns` array of banked
+    // counterexample witnesses; it is ignored, malformed or not.
     Some(CacheEntry {
         equivalent,
         cex,
-        patterns,
         classes: v.get("classes").and_then(Json::as_u64)? as usize,
         signals: v.get("signals").and_then(Json::as_u64)? as usize,
         eqs_percent: v.get("eqs_percent").and_then(Json::as_f64)?,
@@ -388,18 +320,6 @@ mod tests {
                 classes: vec![vec![0], vec![1, 3]],
                 phase: vec![true, false, true, true],
             },
-            patterns: vec![
-                BankPattern::TwoFrame {
-                    state: vec![true, false],
-                    inputs_t: vec![false, true, true],
-                    inputs_t1: vec![true, false, false],
-                    seed: 0xBEEF,
-                },
-                BankPattern::Init {
-                    inputs: vec![true, true, false],
-                    seed: 7,
-                },
-            ],
         }
     }
 
@@ -418,28 +338,39 @@ mod tests {
             assert_eq!(back.eqs_percent, e.eqs_percent);
             assert_eq!(back.ordered_digest, e.ordered_digest);
             assert_eq!(back.snapshot, e.snapshot);
-            assert_eq!(back.patterns, e.patterns);
         }
         assert!(decode_entry("{\"v\":2}").is_none());
         assert!(decode_entry("garbage").is_none());
     }
 
     #[test]
-    fn patterns_field_is_optional_and_validated() {
-        // A pattern-less entry omits the field entirely, and files
-        // written before the field existed still decode (to empty).
-        let mut bare = entry(true, 1);
-        bare.patterns.clear();
-        let text = encode_entry(&bare);
+    fn legacy_patterns_field_is_ignored() {
+        // Entries written before the pattern bank was removed carry a
+        // `patterns` array; valid or malformed, it neither blocks the
+        // decode nor survives a re-encode.
+        let e = entry(true, 1);
+        let text = encode_entry(&e);
         assert!(!text.contains("\"patterns\""));
-        assert!(decode_entry(&text).unwrap().patterns.is_empty());
-        // A malformed patterns array rejects the whole entry.
-        let bad = text.replacen(
-            ",\"classes\"",
-            ",\"patterns\":[{\"k\":\"t\"}],\"classes\"",
-            1,
-        );
-        assert!(decode_entry(&bad).is_none());
+        let valid = "[{\"k\":\"t\",\"s\":\"10\",\"i0\":\"011\",\"i1\":\"100\",\"seed\":48879},\
+                     {\"k\":\"i\",\"i0\":\"110\",\"seed\":7}]";
+        for patterns in [
+            valid,
+            "[{\"k\":\"t\"}]",
+            "[{\"k\":\"x\",\"seed\":\"no\"}]",
+            "17",
+        ] {
+            let legacy = text.replacen(
+                ",\"snapshot\"",
+                &format!(",\"patterns\":{patterns},\"snapshot\""),
+                1,
+            );
+            assert!(legacy.contains("\"patterns\""));
+            let back = decode_entry(&legacy).expect(&legacy);
+            assert_eq!(back.equivalent, e.equivalent);
+            assert_eq!(back.classes, e.classes);
+            assert_eq!(back.snapshot, e.snapshot);
+            assert_eq!(encode_entry(&back), text);
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use sec_obs::{
     TagSink, Value,
 };
 use sec_portfolio::PortfolioOptions;
-use sec_sim::{BankPattern, Trace};
+use sec_sim::Trace;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -196,9 +196,6 @@ struct Job {
     /// Snapshot to warm-start from (revalidation over an identical
     /// node numbering).
     seed: Option<PartitionSnapshot>,
-    /// Banked simulation patterns to replay before the first solver
-    /// round, under the same node-numbering gate as `seed`.
-    bank_seed: Vec<BankPattern>,
     token: CancellationToken,
     /// When the submission arrived (start of the `total` phase).
     submitted: Instant,
@@ -857,7 +854,6 @@ fn submit(
     let ordered = ordered_digest(&pm.aig);
 
     let mut seed = None;
-    let mut bank_seed = Vec::new();
     let mut cache_hit = false;
     if !req.no_cache {
         let hit = state.lock(&state.cache, "cache").lookup(fingerprint);
@@ -865,14 +861,9 @@ fn submit(
             cache_hit = true;
             if req.revalidate {
                 // Re-run, but warm-start when the snapshot's node
-                // numbering matches this product machine exactly. The
-                // banked patterns ride the same gate: their latch and
-                // input orderings index into the producing product.
-                if entry.ordered_digest == ordered {
-                    if !entry.snapshot.is_empty() {
-                        seed = Some(entry.snapshot);
-                    }
-                    bank_seed = entry.patterns;
+                // numbering matches this product machine exactly.
+                if entry.ordered_digest == ordered && !entry.snapshot.is_empty() {
+                    seed = Some(entry.snapshot);
                 }
             } else {
                 let accept_us = submitted.elapsed().as_micros() as u64;
@@ -937,7 +928,6 @@ fn submit(
         fingerprint,
         ordered,
         seed,
-        bank_seed,
         token: token.clone(),
         submitted,
         accept_us: 0,
@@ -1172,15 +1162,14 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
 
     state.running.fetch_add(1, Ordering::SeqCst);
     let running_guard = RunningGuard(state);
-    let (verdict, stats, snapshot, patterns) = match job.engine {
+    let (verdict, stats, snapshot) = match job.engine {
         Engine::Bdd | Engine::Sat => {
             // The SAT preset enables the candidate-set reduction
-            // pipeline, whose pattern bank the cache persists and
-            // replays on revalidation.
+            // pipeline.
             let builder = if job.engine == Engine::Bdd {
                 OptionsBuilder::new().backend(Backend::Bdd)
             } else {
-                OptionsBuilder::sat().pattern_bank_seed(job.bank_seed.clone())
+                OptionsBuilder::sat()
             };
             let opts = builder
                 .timeout(job.timeout)
@@ -1193,12 +1182,7 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
             match Checker::new(&job.spec, &job.impl_, opts) {
                 Ok(checker) => {
                     let (result, snapshot) = checker.run_seeded(job.seed.as_ref());
-                    (
-                        result.verdict,
-                        Some(result.stats),
-                        snapshot,
-                        result.patterns,
-                    )
+                    (result.verdict, Some(result.stats), snapshot)
                 }
                 Err(e) => {
                     drop(running_guard);
@@ -1232,12 +1216,11 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
                 ..PortfolioOptions::default()
             };
             match sec_portfolio::run(&job.spec, &job.impl_, &popts) {
-                Ok(result) => (result.verdict, None, PartitionSnapshot::empty(), Vec::new()),
+                Ok(result) => (result.verdict, None, PartitionSnapshot::empty()),
                 Err(e) => (
                     Verdict::Unknown(e.to_string()),
                     None,
                     PartitionSnapshot::empty(),
-                    Vec::new(),
                 ),
             }
         }
@@ -1256,7 +1239,6 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
             rounds: stats.as_ref().map_or(0, |s| s.iterations),
             ordered_digest: job.ordered,
             snapshot,
-            patterns,
         };
         state
             .lock(&state.cache, "cache")

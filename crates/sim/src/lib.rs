@@ -38,14 +38,12 @@
 
 mod amplify;
 mod bitsim;
-mod pattern_bank;
 mod signature;
 mod ternary;
 mod trace;
 
 pub use amplify::{amplify_init, amplify_two_frame, AmplifiedCex};
 pub use bitsim::{eval_single, next_state_single, BitSim};
-pub use pattern_bank::{BankPattern, PatternBank};
 pub use signature::Signatures;
 pub use ternary::{initializes, ternary_eval, ternary_outputs_agree, Ternary, TernarySim};
 pub use trace::{first_output_mismatch, Trace};

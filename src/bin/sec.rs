@@ -52,7 +52,7 @@ fn usage() -> ! {
          [--timeout SECS] [--engine-timeout SECS] [--node-limit N]\n           \
          [--bmc-depth N] [--seed N] [--jobs N] [--chunk-pairs N]\n           \
          [--no-share-clauses] [--no-share-witnesses] [--no-strash]\n           \
-         [--bank-words N] [--batch-pairs N] [--json] [--stats]\n           \
+         [--batch-pairs N] [--json] [--stats]\n           \
          [--trace-json FILE] [--progress[=SECS]]\n  \
          sec info <circuit>\n  \
          sec optimize <in> <out> [--seed N] [--retime-only]\n  \
@@ -246,7 +246,6 @@ fn cmd_check(args: &[String]) {
     // after flag parsing (flags may precede `--engine sat`), explicit
     // flags override the preset.
     let mut strash_override: Option<bool> = None;
-    let mut bank_words_override: Option<usize> = None;
     let mut batch_pairs_override: Option<usize> = None;
     let mut json = false;
     let mut show_stats = false;
@@ -352,13 +351,6 @@ fn cmd_check(args: &[String]) {
             "--no-share-clauses" => opts.sat_share_clauses = false,
             "--no-share-witnesses" => opts.sat_share_witnesses = false,
             "--no-strash" => strash_override = Some(false),
-            "--bank-words" => {
-                bank_words_override = Some(
-                    take_value(args, &mut i, "--bank-words")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
             "--batch-pairs" => {
                 batch_pairs_override = Some(
                     take_value(args, &mut i, "--batch-pairs")
@@ -378,14 +370,10 @@ fn cmd_check(args: &[String]) {
     if opts.backend == Backend::Sat {
         let sat = Options::sat();
         opts.strash = sat.strash;
-        opts.pattern_bank_words = sat.pattern_bank_words;
         opts.batch_pairs = sat.batch_pairs;
     }
     if let Some(v) = strash_override {
         opts.strash = v;
-    }
-    if let Some(v) = bank_words_override {
-        opts.pattern_bank_words = v;
     }
     if let Some(v) = batch_pairs_override {
         opts.batch_pairs = v;
