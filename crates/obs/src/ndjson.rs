@@ -38,7 +38,10 @@ impl LineWriter {
     /// CLI exits via `std::process::exit`, which skips destructors, so
     /// a buffered writer would silently truncate the stream. Events are
     /// coarse (round/frame/race boundaries), so the syscall per line is
-    /// noise. Errors are swallowed: a torn trace is strictly worse than
+    /// noise. One write per line also keeps a `TCP_NODELAY` socket (`sec
+    /// serve` sets it on every client connection) from sending partial
+    /// lines: each line leaves whole, as soon as it is written. Errors
+    /// are swallowed: a torn trace is strictly worse than
     /// a missing one, and losing an event to a full disk must not abort
     /// the check itself.
     pub fn write_line(&self, line: &str) {

@@ -17,11 +17,16 @@ pub struct Client {
 impl Client {
     /// Connects to a running daemon.
     ///
+    /// The socket is set to `TCP_NODELAY`: a request line waits for no
+    /// ACK of the previous one, so a kept-open connection costs no
+    /// Nagle/delayed-ACK stall per round trip.
+    ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             writer,
@@ -29,14 +34,15 @@ impl Client {
         })
     }
 
-    /// Sends one request line (the newline is appended here).
+    /// Sends one request line (the newline is appended here), line and
+    /// newline in one write so the no-delay socket never sends a
+    /// partial line.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        self.writer.write_all(&[line.as_bytes(), b"\n"].concat())
     }
 
     /// Reads the next raw line; `None` on server EOF.
@@ -123,6 +129,15 @@ pub fn check_line(req: &CheckRequest) -> String {
 mod tests {
     use super::*;
     use crate::protocol::{parse_request, Engine, Request};
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 
     #[test]
     fn check_line_round_trips() {

@@ -46,4 +46,4 @@ mod server;
 pub use cache::{decode_entry, encode_entry, CacheCounters, CacheEntry, ResultCache};
 pub use client::{check_line, Client};
 pub use protocol::{escape_json, parse_request, CheckRequest, Engine, Request, Source};
-pub use server::{run_server, ServeOptions};
+pub use server::{run_server, ServeOptions, MAX_REQUEST_LINE_BYTES};

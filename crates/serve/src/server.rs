@@ -35,7 +35,9 @@
 //! (`catch_unwind`), reported to the owning client as an `unknown`
 //! verdict with reason `panic`, and counted in
 //! `serve_worker_panics_total` — the worker survives to take the next
-//! job.
+//! job. Request lines are read through a cap
+//! ([`MAX_REQUEST_LINE_BYTES`]): a longer line is answered with a
+//! `too_large` error and skipped, and the connection keeps serving.
 
 use crate::cache::{CacheEntry, ResultCache};
 use crate::protocol::{parse_request, CheckRequest, Engine, Request, Source};
@@ -52,13 +54,21 @@ use sec_obs::{
 use sec_portfolio::PortfolioOptions;
 use sec_sim::Trace;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Longest request line the daemon reads, newline excluded: 16 MiB.
+/// The largest suite design is ~113 KB as inline `.bench` text, so an
+/// inline request stays far below it. A longer line is answered with
+/// `serve.error` `"error":"too_large"`, and its rest is skipped
+/// without being buffered.
+pub const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
 
 /// Configuration of [`run_server`].
 #[derive(Clone, Debug)]
@@ -414,10 +424,11 @@ pub fn run_server(opts: &ServeOptions) -> std::io::Result<()> {
     });
     register_gauges(&state);
 
-    let metrics_addr = match &opts.metrics_addr {
+    let metrics_listener = match &opts.metrics_addr {
         Some(maddr) => Some(spawn_metrics_listener(&state, maddr)?),
         None => None,
     };
+    let metrics_addr = metrics_listener.as_ref().map(|(addr, _)| *addr);
 
     let cache_dir_label = opts
         .cache_dir
@@ -483,6 +494,10 @@ pub fn run_server(opts: &ServeOptions) -> std::io::Result<()> {
     }
 
     state.queue_cond.notify_all();
+    if let Some((maddr, thread)) = metrics_listener {
+        wake_listener(maddr);
+        let _ = thread.join();
+    }
     for w in workers {
         let _ = w.join();
     }
@@ -509,26 +524,43 @@ pub fn run_server(opts: &ServeOptions) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Binds the metrics endpoint and serves it from a polling accept
-/// loop (non-blocking so the thread can observe shutdown). Returns
-/// the bound address.
-fn spawn_metrics_listener(state: &Arc<State>, addr: &str) -> std::io::Result<SocketAddr> {
+/// Binds the metrics endpoint and serves it from a blocking accept
+/// loop; shutdown wakes it with one self-connect ([`wake_listener`]),
+/// like the protocol listener. Returns the bound address and the
+/// listener thread.
+fn spawn_metrics_listener(
+    state: &Arc<State>,
+    addr: &str,
+) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let state = Arc::clone(state);
-    std::thread::spawn(move || loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
+    let thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if state.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            if let Ok(stream) = stream {
                 let _ = answer_http(&state, stream);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     });
-    Ok(local)
+    Ok((local, thread))
+}
+
+/// Connects once to a listener bound at `addr`, so a thread blocked in
+/// its `accept` wakes and sees the shutdown flag. A wildcard bind
+/// address is reached through loopback.
+fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        };
+        addr.set_ip(loopback);
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
 }
 
 /// Answers one HTTP exchange on the metrics listener: `GET /metrics`
@@ -536,7 +568,6 @@ fn spawn_metrics_listener(state: &Arc<State>, addr: &str) -> std::io::Result<Soc
 /// `ok`. Anything else is 404. Hand-rolled HTTP/1.1, connection:
 /// close — enough for a scraper, zero dependencies.
 fn answer_http(state: &Arc<State>, mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
@@ -558,15 +589,15 @@ fn answer_http(state: &Arc<State>, mut stream: TcpStream) -> std::io::Result<()>
         "/health" => ("200 OK", "ok\n".to_string()),
         _ => ("404 Not Found", "not found\n".to_string()),
     };
-    write!(
-        stream,
+    // Rendered whole and sent in one write, not one per format piece.
+    let response = format!(
         "HTTP/1.1 {status}\r\n\
          Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len(),
-    )?;
-    stream.flush()
+    );
+    stream.write_all(response.as_bytes())
 }
 
 /// Samples the registered gauges once a second until shutdown, so
@@ -639,9 +670,51 @@ fn metrics_fields(state: &State) -> Vec<(&'static str, Value)> {
     ]
 }
 
+/// What [`read_request_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum LineRead {
+    /// The buffer holds the next line, without its newline.
+    Line,
+    /// The next line was longer than the cap. It has been consumed;
+    /// only its first `cap + 1` bytes were buffered.
+    TooLarge,
+    /// The peer closed the stream.
+    Eof,
+}
+
+/// Reads the next `\n`-terminated line into `buf` (cleared first),
+/// buffering at most `cap + 1` bytes of it; the rest of a longer line
+/// is skipped unbuffered. A last line without a newline still counts.
+/// Bytes, not a `String`: a cap that splits a UTF-8 sequence must not
+/// fail the read.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    let read = reader
+        .by_ref()
+        .take(cap as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > cap {
+        reader.skip_until(b'\n')?;
+        return Ok(LineRead::TooLarge);
+    }
+    Ok(LineRead::Line)
+}
+
 /// Reader loop of one client connection.
 fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     let conn_id = state.conn_seq.fetch_add(1, Ordering::SeqCst) + 1;
+    // No reply line waits for the client's delayed ACK of the previous
+    // one. Safe because `LineWriter` sends each line in one write.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -661,17 +734,18 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     );
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(line.trim()) {
+        let request = match read_request_line(&mut reader, &mut buf, MAX_REQUEST_LINE_BYTES) {
+            Ok(LineRead::Line) => match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(line) => parse_request(line),
+                Err(_) => Err("request line is not UTF-8".to_string()),
+            },
+            Ok(LineRead::TooLarge) => Err("too_large".to_string()),
+            Ok(LineRead::Eof) | Err(_) => break,
+        };
+        match request {
             Err(msg) => {
                 state.metrics.errors.inc(1);
                 conn_obs.event("serve.error", &[("error", Value::from(msg))]);
@@ -746,13 +820,9 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                 state.shutdown.store(true, Ordering::SeqCst);
                 state.queue_cond.notify_all();
                 // Unblock the accept loop so it observes the flag.
-                let _ = TcpStream::connect_timeout(
-                    &reader
-                        .get_ref()
-                        .local_addr()
-                        .unwrap_or_else(|_| "127.0.0.1:1".parse().expect("literal addr")),
-                    Duration::from_millis(200),
-                );
+                if let Ok(addr) = reader.get_ref().local_addr() {
+                    wake_listener(addr);
+                }
                 return;
             }
         }
@@ -1262,4 +1332,54 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
         fields.push(("rounds", Value::from(stats.iterations as u64)));
     }
     finish_job(state, job, fields, label, start, run_us);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line of `input` read with `cap`, through a 2-byte buffer so
+    /// lines span many refills; `None` marks a line over the cap.
+    fn read_all(input: &[u8], cap: usize) -> Vec<Option<Vec<u8>>> {
+        let mut reader = BufReader::with_capacity(2, input);
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            match read_request_line(&mut reader, &mut buf, cap).unwrap() {
+                LineRead::Line => lines.push(Some(buf.clone())),
+                LineRead::TooLarge => lines.push(None),
+                LineRead::Eof => return lines,
+            }
+        }
+    }
+
+    #[test]
+    fn request_line_cap_is_exact() {
+        assert_eq!(
+            read_all(b"abcd\nabcde\n\nxyz", 4),
+            vec![
+                Some(b"abcd".to_vec()),
+                None,
+                Some(vec![]),
+                Some(b"xyz".to_vec())
+            ]
+        );
+        assert_eq!(read_all(b"abcde", 4), vec![None]);
+    }
+
+    #[test]
+    fn overlong_line_is_skipped_to_its_newline() {
+        let mut input = vec![b'x'; 1000];
+        input.extend_from_slice(b"\nok\n");
+        assert_eq!(read_all(&input, 4), vec![None, Some(b"ok".to_vec())]);
+    }
+
+    #[test]
+    fn cap_splitting_a_utf8_sequence_is_no_read_error() {
+        // The cap falls between the two bytes of the `é`.
+        assert_eq!(
+            read_all("abcdé\nok\n".as_bytes(), 4),
+            vec![None, Some(b"ok".to_vec())]
+        );
+    }
 }

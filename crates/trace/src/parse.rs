@@ -424,13 +424,16 @@ impl<'a> Cursor<'a> {
                 }
                 Some(c) if c < 0x20 => return self.err("unescaped control character"),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input is valid UTF-8");
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one piece, so a long string costs
+                    // linear time. The run starts and ends next to ASCII
+                    // bytes, so it is whole UTF-8 (the input is a &str).
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(run.expect("input is valid UTF-8"));
                 }
             }
         }
@@ -577,5 +580,20 @@ mod tests {
         let e = &t.events[0];
         assert!(matches!(e.field("arr"), Some(Json::Arr(v)) if v.len() == 3));
         assert_eq!(e.str("uni"), Some("Aé"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A request line of several MiB (an inline circuit) must parse in
+        // one pass, without re-validating the rest of the input at each
+        // character.
+        let text = "é\\n".repeat(1 << 20) + "x\\\"";
+        let line = format!("{{\"s\":\"{text}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse_json(&line).unwrap();
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+        let s = v.get("s").and_then(Json::as_str).unwrap();
+        assert_eq!(s.len(), 3 * (1 << 20) + 2);
+        assert!(s.starts_with("é\né\n") && s.ends_with("x\""));
     }
 }

@@ -1,10 +1,11 @@
 //! End-to-end tests of the `sec serve` daemon: fingerprint cache hits,
 //! rename invariance, deadlines, disconnect cancellation, cache
-//! persistence, and the `sec client` CLI.
+//! persistence, round-trip latency, the request-line cap, and the
+//! `sec client` CLI.
 
 use sec::gen::random_aig;
 use sec::netlist::write_bench;
-use sec::serve::{check_line, CheckRequest, Client, Engine, Source};
+use sec::serve::{check_line, CheckRequest, Client, Engine, Source, MAX_REQUEST_LINE_BYTES};
 use sec::trace::Event;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -147,32 +148,41 @@ fn run_check(client: &mut Client, req: &CheckRequest) -> Vec<Event> {
     }
 }
 
-fn status(client: &mut Client) -> Event {
-    client.send_line("{\"cmd\":\"status\"}").unwrap();
+/// Reads events until the first one named `name`.
+fn next_named(client: &mut Client, name: &str) -> Event {
     loop {
         let (_, ev) = client.next_event().unwrap().expect("server closed early");
-        if ev.ev == "serve.status" {
+        if ev.ev == name {
             return ev;
         }
     }
+}
+
+fn status(client: &mut Client) -> Event {
+    client.send_line("{\"cmd\":\"status\"}").unwrap();
+    next_named(client, "serve.status")
 }
 
 fn metrics(client: &mut Client) -> Event {
     client.send_line("{\"cmd\":\"metrics\"}").unwrap();
-    loop {
-        let (_, ev) = client.next_event().unwrap().expect("server closed early");
-        if ev.ev == "serve.metrics" {
-            return ev;
-        }
-    }
+    next_named(client, "serve.metrics")
+}
+
+/// The middle sample, in milliseconds.
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
 }
 
 /// One HTTP GET against the exposition listener, returning the whole
-/// response (status line, headers, body).
+/// response (status line, headers, body). The request goes out in one
+/// write, so the timing measures the daemon, not the client's Nagle.
 fn scrape(addr: &str, path: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: sec\r\n\r\n").unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.0\r\nHost: sec\r\n\r\n").as_bytes())
+        .unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     response
@@ -454,6 +464,20 @@ fn metrics_reconcile_with_requests_served() {
     assert!(health.ends_with("ok\n"), "{health}");
     assert!(scrape(&maddr, "/nope").starts_with("HTTP/1.1 404"));
 
+    // Back-to-back scrapes are answered as they arrive: the accept loop
+    // blocks instead of polling, and the response is one write.
+    let scrapes: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            let health = scrape(&maddr, "/health");
+            let elapsed = start.elapsed();
+            assert!(health.ends_with("ok\n"), "{health}");
+            elapsed
+        })
+        .collect();
+    let p50 = median_ms(scrapes.clone());
+    assert!(p50 < 10.0, "median /health scrape {p50:.2} ms: {scrapes:?}");
+
     // The protocol twins of the endpoints, via the CLI.
     let out = Command::new(SEC)
         .args(["client", "health", "--addr", &daemon.addr])
@@ -479,6 +503,86 @@ fn metrics_reconcile_with_requests_served() {
     assert!(screen.contains("hit_rate="), "{screen}");
     assert!(screen.contains("queue=0/"), "{screen}");
 
+    assert!(daemon.shutdown_and_wait().success());
+}
+
+/// Requests on one kept-open connection must not wait for delayed ACKs.
+/// Nagle on either end makes every round trip after the first wait
+/// ~40 ms per direction. The first never waits, because Linux starts a
+/// connection in quick-ACK mode, so the hits share the cold request's
+/// connection.
+#[test]
+fn kept_open_connection_round_trips_do_not_stall() {
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    let mut c = daemon.client();
+    let req = check_req(TOGGLE, TOGGLE);
+    run_check(&mut c, &req);
+
+    let hits: Vec<Duration> = (0..21)
+        .map(|_| {
+            let start = Instant::now();
+            let events = run_check(&mut c, &req);
+            let elapsed = start.elapsed();
+            assert_eq!(
+                result_of(&events).field("cached").and_then(|j| j.as_bool()),
+                Some(true)
+            );
+            elapsed
+        })
+        .collect();
+    let p50 = median_ms(hits.clone());
+    assert!(p50 < 20.0, "median hit round trip {p50:.2} ms: {hits:?}");
+
+    assert!(daemon.shutdown_and_wait().success());
+}
+
+#[test]
+fn overlong_request_line_is_rejected_and_the_connection_survives() {
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    let mut c = daemon.client();
+
+    // A check request padded to one byte over the cap.
+    let (head, tail) = ("{\"cmd\":\"check\",\"spec_bench\":\"", "\"}");
+    let pad = "x".repeat(MAX_REQUEST_LINE_BYTES + 1 - head.len() - tail.len());
+    let line = format!("{head}{pad}{tail}");
+    assert_eq!(line.len(), MAX_REQUEST_LINE_BYTES + 1);
+    c.send_line(&line).unwrap();
+    assert_eq!(
+        next_named(&mut c, "serve.error").str("error"),
+        Some("too_large")
+    );
+
+    // The rest of the line was skipped; the connection still serves.
+    c.send_line("{\"cmd\":\"health\"}").unwrap();
+    assert_eq!(next_named(&mut c, "serve.health").str("status"), Some("ok"));
+    assert_eq!(metrics(&mut c).u64("errors"), Some(1));
+
+    assert!(daemon.shutdown_and_wait().success());
+}
+
+#[test]
+fn non_utf8_request_line_is_an_error_not_a_disconnect() {
+    use std::io::Write;
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    // `Client` only sends `&str`, so the bad bytes go over a raw socket.
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    stream
+        .write_all(b"{\"cmd\":\"health\xff\"}\n{\"cmd\":\"health\"}\n")
+        .unwrap();
+    let lines: Vec<String> = reader.lines().take(3).map(Result::unwrap).collect();
+    assert_eq!(
+        lines.len(),
+        3,
+        "the daemon closed the connection: {lines:?}"
+    );
+    assert!(lines[0].contains("\"ev\":\"serve.hello\""), "{lines:?}");
+    assert!(
+        lines[1].contains("\"ev\":\"serve.error\"") && lines[1].contains("not UTF-8"),
+        "{lines:?}"
+    );
+    assert!(lines[2].contains("\"ev\":\"serve.health\""), "{lines:?}");
+    drop(stream);
     assert!(daemon.shutdown_and_wait().success());
 }
 
