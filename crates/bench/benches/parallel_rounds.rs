@@ -7,8 +7,8 @@
 //! partitions, verdicts, and total splits are identical by construction
 //! (the driver merges worker counterexamples in canonical order; the
 //! fixed point is unique), while the *trajectory* counters (rounds,
-//! solver calls) legitimately vary: more workers stop each round with
-//! more witnesses and share clauses and witnesses between them. The
+//! solver calls) legitimately vary: more workers race to each round's
+//! first witness, may merge a few at once, and share clauses. The
 //! headline number is wall-clock; what extra workers buy depends on the
 //! host's hardware threads, so read it next to
 //! `std::thread::available_parallelism`.

@@ -66,18 +66,19 @@ pub struct Options {
     /// encoding, pulls chunks from its own queue and steals from
     /// siblings when empty. Between chunks, workers exchange short
     /// learned clauses over the shared encoding variables
-    /// ([`Options::sat_share_clauses`]) and amplified counterexample
-    /// witnesses ([`Options::sat_share_witnesses`]), so one worker's
-    /// refutation prunes every sibling's remaining queries. `1` — the
-    /// default — is a one-worker pool run on the calling thread: no
-    /// thread is spawned, no clause is exported, and chunks are never
-    /// narrower than [`Options::batch_pairs`]. The effective worker
-    /// count is clamped to the round's candidate-pair count, so
-    /// oversubscribed `--jobs` never spawns idle threads. Workers
-    /// return counterexample witnesses which the driver re-amplifies
-    /// and merges deterministically in ascending canonical pair
-    /// order, so the final partition and verdict are bit-identical
-    /// for every jobs count (round *trajectories* may differ — see
+    /// ([`Options::sat_share_clauses`]). The first counterexample any
+    /// worker finds ends the round: the pool's stop token trips and
+    /// every sibling stops at its next query. `1` — the default — is a
+    /// one-worker pool run on the calling thread: no thread is
+    /// spawned, no clause is exported, chunks are never narrower than
+    /// [`Options::batch_pairs`], and every refinement round merges
+    /// exactly one witness. The effective worker count is clamped to
+    /// the round's candidate-pair count, so oversubscribed `--jobs`
+    /// never spawns idle threads. Workers return counterexample
+    /// witnesses which the driver amplifies and merges
+    /// deterministically in ascending canonical pair order, so the
+    /// final partition and verdict are bit-identical for every jobs
+    /// count (round *trajectories* may differ — see
     /// `docs/PARALLEL.md`).
     pub jobs: usize,
     /// Cycles of random sequential simulation used to seed the candidate
@@ -144,17 +145,6 @@ pub struct Options {
     /// never changes the verdict or final partition; it only prunes
     /// duplicate conflict derivations. Disable for ablation runs.
     pub sat_share_clauses: bool,
-    /// Exchange amplified counterexample witnesses within the
-    /// refinement pool (SAT backend). A worker that refutes a
-    /// candidate pair publishes the witness's simulated signature;
-    /// every worker — the publisher included, so a one-worker pool
-    /// prunes its own queue — skips any queued pair that the signature
-    /// already separates (the pair will be split when the witness
-    /// merges, so its query is redundant). Skipping
-    /// is always sound — surviving pairs are re-enumerated next round
-    /// — and the merge order keeps results deterministic. Disable for
-    /// ablation runs.
-    pub sat_share_witnesses: bool,
     /// Candidate pairs per work-stealing chunk of the refinement pool.
     /// `0` — the default — sizes chunks automatically from the
     /// round's pair count and the worker count, never narrower than
@@ -236,7 +226,6 @@ impl Default for Options {
             sat_amplify_words: 1,
             sat_conflict_budget: None,
             sat_share_clauses: true,
-            sat_share_witnesses: true,
             sat_chunk_pairs: 0,
             strash: false,
             batch_pairs: 0,
@@ -417,9 +406,6 @@ impl OptionsBuilder {
         /// Enables/disables learned-clause exchange between workers
         /// (see [`Options::sat_share_clauses`]).
         sat_share_clauses: bool,
-        /// Enables/disables counterexample-witness exchange between
-        /// workers (see [`Options::sat_share_witnesses`]).
-        sat_share_witnesses: bool,
         /// Sets the work-stealing chunk size in pairs (`0` = auto).
         sat_chunk_pairs: usize,
         /// Enables/disables structural collapsing of bisimilar signals

@@ -215,9 +215,8 @@ impl Partition {
     /// word itself when the node's phase is positive, its complement
     /// otherwise. Two nodes evaluate equal (as normalized functions) on
     /// pattern `k` iff bit `k` of their normalized words agree — the
-    /// word-level analogue of [`Partition::lit_equiv`], used both by
-    /// [`Partition::valid_word_mask`] and by the sharded rounds'
-    /// witness-signature pruning.
+    /// word-level analogue of [`Partition::lit_equiv`], used by
+    /// [`Partition::valid_word_mask`].
     #[inline]
     pub fn norm_word(&self, v: Var, word: u64) -> u64 {
         if self.phase[v.index()] {
@@ -225,16 +224,6 @@ impl Partition {
         } else {
             !word
         }
-    }
-
-    /// Whether an evaluation (packed as words, restricted to the
-    /// patterns in `mask`) separates two nodes: some valid pattern on
-    /// which their normalized values differ. A counterexample whose
-    /// signature separates a candidate pair will split that pair when
-    /// it is merged, so the pair's own query can be skipped.
-    #[inline]
-    pub fn words_separate(&self, a: Var, wa: u64, b: Var, wb: u64, mask: u64) -> bool {
-        (self.norm_word(a, wa) ^ self.norm_word(b, wb)) & mask != 0
     }
 
     /// The mask of patterns whose frame-0 evaluation satisfies the

@@ -17,9 +17,10 @@
 //! **One driver for every jobs count.** [`run_fixed_point`] runs each
 //! refinement round on a work-stealing pool of workers, each owning a
 //! clone of the encoding (solver included); `jobs = 1` is a one-worker
-//! pool run on the calling thread. Workers return raw witnesses and
-//! the driver alone refines the partition, in canonical pair order, so
-//! the final partition and verdict are the same for every jobs count.
+//! pool run on the calling thread. A round ends at the first witness
+//! any worker finds; workers return raw witnesses and the driver alone
+//! refines the partition, in canonical pair order, so the final
+//! partition and verdict are the same for every jobs count.
 //!
 //! **Incremental mode** (default): each worker's solver persists across
 //! every refinement round. `Q_{T_i}` is never asserted as hard clauses:
@@ -62,8 +63,8 @@ use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
 use sec_sim::{amplify_init, amplify_two_frame, eval_single, next_state_single, BitSim};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The two-frame (+ initial frame) unrolling of the product machine,
 /// encoded in a fresh solver.
@@ -429,23 +430,17 @@ fn close_round(obs: &Obs, sp: &mut sec_obs::Span, partition: &Partition, classes
 /// only short ones travel (the classic portfolio-solver heuristic).
 const MAX_SHARED_LITS: usize = 8;
 
-/// Witnesses that stop a round early, per spawned worker: a round ends
-/// once the pool holds `spawned * WITNESS_TARGET_PER_WORKER` witnesses.
-/// More workers therefore merge more splits per round (fewer rounds),
-/// while each round still stops long before a full sweep. Tuned on the
-/// ISCAS'89 self-product rows: 4 witnesses per worker amortizes the
-/// per-round activation re-assert without flattening the jobs curve.
-const WITNESS_TARGET_PER_WORKER: usize = 4;
-
-/// Floor on a round's query budget, so tiny partitions still make
-/// progress in few rounds.
+/// Floor on the per-worker share of a round's pairs that the spawn
+/// clamp reads (see [`SPAWN_AMORTIZE`]): a small round counts as at
+/// least this many queries per worker, so a tiny share alone does not
+/// clamp it to fewer workers.
 const MIN_ROUND_QUERIES: u64 = 32;
 
-/// Spawn-amortization ratio: a worker joins a round only while the
-/// round's query budget per worker covers its setup — re-asserting one
+/// Spawn-amortization ratio: a worker joins a round only while its
+/// share of the round's pairs covers its setup — re-asserting one
 /// activation clause per live pair, roughly 1/50th of a solver query
 /// apiece, kept to half the worker's expected share. Spawning beyond
-/// `SPAWN_AMORTIZE * budget / pairs` workers on an oversubscribed host
+/// `SPAWN_AMORTIZE * share / pairs` workers on an oversubscribed host
 /// just multiplies per-round setup without adding throughput; hosts
 /// with real hardware parallelism always spawn at least
 /// [`std::thread::available_parallelism`] workers.
@@ -454,9 +449,8 @@ const SPAWN_AMORTIZE: u64 = 25;
 /// The deterministic per-query amplification seed of a candidate
 /// pair's counterexample — a function of the round number and the
 /// pair's canonical sequence number only, never of which worker ran
-/// the query. The worker that publishes a witness signature and the
-/// driver that later merges the witness both derive the seed from
-/// here, so they amplify the exact same pattern set.
+/// the query, so the merge amplifies the same pattern set at every
+/// jobs count.
 fn cex_seed(opts_seed: u64, round: usize, seq: u64, init: bool) -> u64 {
     let query_seq = (round as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -492,8 +486,8 @@ struct WorkerCex {
 /// What one worker's round produced.
 enum WorkerRound {
     /// Swept until the queues drained or the pool's stop token tripped;
-    /// carries every witness collected (possibly none).
-    Done(Vec<WorkerCex>),
+    /// carries the witness this worker took, if any.
+    Done(Option<WorkerCex>),
     /// A query exhausted the per-query conflict budget.
     Budget,
     /// A real abort: external cancellation, timeout, or resource limit
@@ -654,89 +648,32 @@ impl DepMap {
     }
 }
 
-/// The simulated signature of a published witness: every node's
-/// amplified evaluation of the frame the eventual merge will split on,
-/// plus the per-word masks of the patterns allowed to split (frame-0
-/// `Q`-validity against the round-start partition for a two-frame
-/// witness; all patterns for an initial-frame one).
+/// State shared by one round's worker pool: the stop token and the
+/// clause exchange pool.
 ///
-/// A sibling holding a queued pair `(m, r)` checks whether any valid
-/// pattern separates the pair's normalized values
-/// ([`Partition::words_separate`]); if so the pair's query is
-/// redundant — merging this witness will split the pair — and is
-/// skipped. Skipping is sound unconditionally: a pair that somehow
-/// survives the merge is re-enumerated next round, and the final
-/// certifying round (which must end with zero witnesses) never prunes
-/// because its pool holds no signatures.
-struct SharedSig {
-    sim: BitSim,
-    masks: Vec<u64>,
-}
-
-impl SharedSig {
-    fn separates(&self, partition: &Partition, m: Var, r: Var) -> bool {
-        let wm = self.sim.var_words(m);
-        let wr = self.sim.var_words(r);
-        self.masks
-            .iter()
-            .enumerate()
-            .any(|(w, &mask)| partition.words_separate(m, wm[w], r, wr[w], mask))
-    }
-}
-
-/// State shared by one round's worker pool: the stop token, the
-/// exchange pools for witnesses and clauses, and the round-stop
-/// accounting.
-///
-/// The round stops — token tripped, undelivered chunks abandoned —
-/// when either the pool holds `witness_target` witnesses (enough
-/// splits collected to make merging worthwhile) or at least one
-/// witness exists and `query_budget` queries have been spent (don't
-/// keep paying for a round that already refines). A round with *zero*
+/// The round stops — token tripped, undelivered chunks abandoned — at
+/// the first witness any worker takes ([`take_witness`]): van Eijk's
+/// fixed point is unique, so how many witnesses a round merges changes
+/// only the cost, never the partition, and every query past the first
+/// witness would be re-asked under the next round's finer `Q` anyway.
+/// Siblings may still take a witness of their own in the moment before
+/// they see the token; the merge takes them all. A round with *zero*
 /// witnesses never stops early: the fixed-point certification requires
-/// a full sweep, and it gets one because both rules demand a witness.
+/// a full sweep, and it gets one because only a witness trips the stop.
 struct RoundPool {
     stop: CancellationToken,
-    sigs: Mutex<Vec<Arc<SharedSig>>>,
-    sig_count: AtomicUsize,
     /// Published clauses as `(publisher, clause)`; a worker skips its
     /// own entries on import.
     clauses: Mutex<Vec<(usize, Vec<SatLit>)>>,
     clause_count: AtomicUsize,
-    witnesses: AtomicUsize,
-    queries: AtomicU64,
-    witness_target: usize,
-    query_budget: u64,
 }
 
 impl RoundPool {
-    fn new(witness_target: usize, query_budget: u64) -> RoundPool {
+    fn new() -> RoundPool {
         RoundPool {
             stop: CancellationToken::new(),
-            sigs: Mutex::new(Vec::new()),
-            sig_count: AtomicUsize::new(0),
             clauses: Mutex::new(Vec::new()),
             clause_count: AtomicUsize::new(0),
-            witnesses: AtomicUsize::new(0),
-            queries: AtomicU64::new(0),
-            witness_target,
-            query_budget,
-        }
-    }
-
-    /// Accounts one solver query and applies the budget stop rule.
-    fn note_query(&self) {
-        let q = self.queries.fetch_add(1, Ordering::Relaxed) + 1;
-        if q >= self.query_budget && self.witnesses.load(Ordering::Relaxed) > 0 {
-            self.stop.cancel();
-        }
-    }
-
-    /// Accounts one witness and applies the witness-target stop rule.
-    fn note_witness(&self) {
-        let n = self.witnesses.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.witness_target {
-            self.stop.cancel();
         }
     }
 }
@@ -761,7 +698,6 @@ fn sibling_or_abort(abort: Abort, deadline: &Deadline) -> Option<Abort> {
 /// Everything a worker's round reads but never writes, bundled so the
 /// per-worker entry points stay within clippy's argument budget.
 struct WorkerCtx<'a> {
-    aig: &'a Aig,
     partition: &'a Partition,
     opts: &'a Options,
     deadline: &'a Deadline,
@@ -769,16 +705,12 @@ struct WorkerCtx<'a> {
     pool: &'a RoundPool,
     round: usize,
     obs: &'a Obs,
-    /// The collapsed structural equalities ([`Options::strash`]) —
-    /// asserted on the shared base encoding, and folded into every
-    /// published witness signature's validity masks.
-    struct_eqs: &'a [(Var, Lit)],
 }
 
 /// Why a worker's sweep over the steal queues ended early.
 enum SweepEnd {
-    /// The pool's stop token tripped; the witnesses collected so far
-    /// are valid.
+    /// The pool's stop token tripped — by this worker's own witness or
+    /// a sibling's; the witness taken, if any, is valid.
     Stopped,
     /// A query exhausted the per-query conflict budget.
     Budget,
@@ -831,64 +763,13 @@ fn exchange_clauses(
     Ok(())
 }
 
-/// Refreshes a worker's local view of the published witness signatures
-/// (cheap `Arc` clones; only locks when the published count moved).
-fn refresh_sigs(ctx: &WorkerCtx, local: &mut Vec<Arc<SharedSig>>) {
-    if ctx.pool.sig_count.load(Ordering::Acquire) > local.len() {
-        let sigs = ctx.pool.sigs.lock().expect("sig pool poisoned");
-        local.extend(sigs[local.len()..].iter().cloned());
-    }
-}
-
-/// Amplifies a fresh witness with the canonical seed its merge will
-/// use and publishes the signature, so siblings skip pairs the merge
-/// is going to split anyway. With amplification disabled there is no
-/// signature to share (the single pattern rarely prunes anything, and
-/// computing it would just re-run the merge's work).
-fn publish_witness(ctx: &WorkerCtx, seq: u64, kind: &CexKind) {
-    let words = ctx.opts.sat_amplify_words;
-    if words == 0 {
-        return;
-    }
-    let sig = match kind {
-        CexKind::TwoFrame { s, xt, xt1 } => {
-            let seed = cex_seed(ctx.opts.seed, ctx.round, seq, false);
-            let amp = amplify_two_frame(ctx.aig, s, xt, xt1, words, seed);
-            let masks = (0..words)
-                .map(|w| {
-                    ctx.partition
-                        .valid_word_mask(|v| amp.frame0.var_words(v)[w])
-                        & struct_eq_word_mask(&amp.frame0, ctx.struct_eqs, w)
-                })
-                .collect();
-            SharedSig {
-                sim: amp.frame1,
-                masks,
-            }
-        }
-        CexKind::Init { xi } => {
-            let seed = cex_seed(ctx.opts.seed, ctx.round, seq, true);
-            SharedSig {
-                sim: amplify_init(ctx.aig, xi, words, seed),
-                masks: vec![!0u64; words],
-            }
-        }
-    };
-    ctx.obs.add(Counter::WitnessesShared, 1);
-    let mut sigs = ctx.pool.sigs.lock().expect("sig pool poisoned");
-    sigs.push(Arc::new(sig));
-    ctx.pool.sig_count.store(sigs.len(), Ordering::Release);
-}
-
 /// One worker's state for the length of one round: the round's
-/// activation literal, the witnesses found so far, the local view of
-/// the published witness signatures, and — on worker 0 only — the
-/// run's heartbeat ticker.
+/// activation literal, the witness taken (if any), and — on worker 0
+/// only — the run's heartbeat ticker.
 struct Sweep<'t> {
     act: SatLit,
-    cexes: Vec<WorkerCex>,
+    cex: Option<WorkerCex>,
     queries: u64,
-    sigs: Vec<Arc<SharedSig>>,
     ticker: Option<&'t mut ProgressTicker>,
 }
 
@@ -911,30 +792,12 @@ impl Sweep<'_> {
             }
         }
     }
-
-    /// Whether a published witness already separates `(m, r)`, so the
-    /// merge will split the pair and its query is redundant.
-    fn pruned(&mut self, ctx: &WorkerCtx, m: Var, r: Var) -> bool {
-        if !ctx.opts.sat_share_witnesses {
-            return false;
-        }
-        refresh_sigs(ctx, &mut self.sigs);
-        let hit = self
-            .sigs
-            .iter()
-            .any(|sig| sig.separates(ctx.partition, m, r));
-        if hit {
-            ctx.obs.add(Counter::WitnessPrunedPairs, 1);
-        }
-        hit
-    }
 }
 
-/// Runs one query under the round's activation literal plus `lit`,
-/// accounting it against the round's query budget. `Ok(true)` is
-/// satisfiable. An interrupted query ends the sweep — quietly with
-/// [`SweepEnd::Stopped`] when a sibling tripped the pool's stop token,
-/// as an abort otherwise — and is never read as `Unsat`.
+/// Runs one query under the round's activation literal plus `lit`;
+/// `Ok(true)` is satisfiable. An interrupted query ends the sweep —
+/// quietly with [`SweepEnd::Stopped`] when a sibling tripped the pool's
+/// stop token, as an abort otherwise — and is never read as `Unsat`.
 fn pool_query(
     w: &mut Worker,
     ctx: &WorkerCtx,
@@ -942,7 +805,6 @@ fn pool_query(
     lit: SatLit,
 ) -> Result<bool, SweepEnd> {
     sw.queries += 1;
-    ctx.pool.note_query();
     match query(&mut w.u.solver, &[sw.act, lit], ctx.obs) {
         Ok(Query::Sat) => Ok(true),
         Ok(Query::Unsat) => Ok(false),
@@ -955,9 +817,11 @@ fn pool_query(
 }
 
 /// Reads the witness of a satisfiable query out of the worker's model,
-/// publishes its signature when witness sharing is on, and hands it to
-/// the merge keyed by the canonical `seq` of the pair it refutes.
-fn take_witness(w: &Worker, ctx: &WorkerCtx, sw: &mut Sweep, seq: u64, init: bool) {
+/// keyed by the canonical `seq` of the pair it refutes, and ends the
+/// round: the pool's stop token trips, so every sibling stops at its
+/// next query, batch or chunk (see [`RoundPool`]). Returns the
+/// [`SweepEnd`] the caller ends its sweep with.
+fn take_witness(w: &Worker, ctx: &WorkerCtx, sw: &mut Sweep, seq: u64, init: bool) -> SweepEnd {
     ctx.obs.add(Counter::WorkerCexes, 1);
     let kind = if init {
         CexKind::Init {
@@ -970,16 +834,14 @@ fn take_witness(w: &Worker, ctx: &WorkerCtx, sw: &mut Sweep, seq: u64, init: boo
             xt1: w.u.read_inputs(&w.u.x1_in),
         }
     };
-    if ctx.opts.sat_share_witnesses {
-        publish_witness(ctx, seq, &kind);
-    }
-    sw.cexes.push(WorkerCex { seq, kind });
-    ctx.pool.note_witness();
+    sw.cex = Some(WorkerCex { seq, kind });
+    ctx.pool.stop.cancel();
+    SweepEnd::Stopped
 }
 
-/// Sweeps one chunk pair by pair: a witness-prune check against the
-/// published signatures, then the condition-2 and condition-1 queries.
-/// A refuted pair skips its other condition — the merge will split it.
+/// Sweeps one chunk pair by pair: the condition-2 query, then the
+/// condition-1 query of a pair condition 2 proved. The first
+/// satisfiable query ends the sweep with its witness.
 fn pair_chunk_sweep(
     w: &mut Worker,
     ctx: &WorkerCtx,
@@ -991,9 +853,6 @@ fn pair_chunk_sweep(
             return Err(SweepEnd::Stopped);
         }
         sw.heartbeat(w, ctx);
-        if sw.pruned(ctx, m, r) {
-            continue;
-        }
         for init in [false, true] {
             // Condition 1 is partition-independent (see
             // [`Worker::init_eq`]): skip it once proven.
@@ -1002,8 +861,7 @@ fn pair_chunk_sweep(
             }
             let d = w.u.pair_diff(ctx.partition, m, r, init);
             if pool_query(w, ctx, sw, d)? {
-                take_witness(w, ctx, sw, seq, init);
-                break;
+                return Err(take_witness(w, ctx, sw, seq, init));
             }
             if init {
                 w.init_eq.insert((m, r));
@@ -1018,30 +876,19 @@ fn pair_chunk_sweep(
 /// proven survivors behind [`Worker::init_eq`]. Each sub-batch gets one
 /// fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
 /// pairs' cached difference literals, and `b` assumed alongside the
-/// round activation. **Unsat** proves all `k` pairs at once — the
-/// assumption set is the per-pair query's plus `b`, so it certifies
-/// exactly what `k` per-pair Unsat answers would. **Sat** yields one
-/// witness, keyed to the lowest decoded pair's canonical `seq`; every
-/// pair the model separates drops from the batch without a proof, and
-/// the rest re-solves. Dropping is sound exactly like witness pruning:
-/// a dropped pair that somehow survives the merge is re-enumerated
-/// next round, and certification still requires a zero-witness full
-/// sweep. Each batch literal is retired with the unit `¬b`.
+/// round activation, and is solved once. **Unsat** proves all `k` pairs
+/// at once — the assumption set is the per-pair query's plus `b`, so it
+/// certifies exactly what `k` per-pair Unsat answers would. **Sat**
+/// yields the round's witness, keyed to the lowest canonical `seq`
+/// among the pairs the model separates, and ends the sweep. Each batch
+/// literal is retired with the unit `¬b`.
 fn batched_chunk_sweep(
     w: &mut Worker,
     ctx: &WorkerCtx,
     sw: &mut Sweep,
     chunk: &[(u64, Var, Var)],
 ) -> Result<(), SweepEnd> {
-    let mut live: Vec<(u64, Var, Var)> = Vec::new();
-    for &(seq, m, r) in chunk {
-        if ctx.pool.stop.is_cancelled() {
-            return Err(SweepEnd::Stopped);
-        }
-        if !sw.pruned(ctx, m, r) {
-            live.push((seq, m, r));
-        }
-    }
+    let mut live: Vec<(u64, Var, Var)> = chunk.to_vec();
     for init in [false, true] {
         // Condition 2 runs over the whole chunk; condition 1 only over
         // the pairs condition 2 proved, minus the cross-round cache.
@@ -1049,58 +896,47 @@ fn batched_chunk_sweep(
         if init {
             todo.retain(|&(_, m, r)| !w.init_eq.contains(&(m, r)));
         }
-        for sub in todo.chunks(ctx.opts.batch_pairs) {
-            let mut batch = sub.to_vec();
-            while !batch.is_empty() {
-                if ctx.pool.stop.is_cancelled() {
-                    return Err(SweepEnd::Stopped);
-                }
-                sw.heartbeat(w, ctx);
-                let ds: Vec<SatLit> = batch
+        for batch in todo.chunks(ctx.opts.batch_pairs) {
+            if ctx.pool.stop.is_cancelled() {
+                return Err(SweepEnd::Stopped);
+            }
+            sw.heartbeat(w, ctx);
+            let ds: Vec<SatLit> = batch
+                .iter()
+                .map(|&(_, m, r)| w.u.pair_diff(ctx.partition, m, r, init))
+                .collect();
+            let b = w.u.solver.new_var().positive();
+            let mut clause = vec![!b];
+            clause.extend_from_slice(&ds);
+            w.u.solver.add_clause(&clause);
+            ctx.obs.add(Counter::BatchedCalls, 1);
+            let sat = pool_query(w, ctx, sw, b);
+            w.u.solver.add_clause(&[!b]);
+            if sat? {
+                let separated: Vec<u64> = batch
                     .iter()
-                    .map(|&(_, m, r)| w.u.pair_diff(ctx.partition, m, r, init))
-                    .collect();
-                let b = w.u.solver.new_var().positive();
-                let mut clause = vec![!b];
-                clause.extend_from_slice(&ds);
-                w.u.solver.add_clause(&clause);
-                ctx.obs.add(Counter::BatchedCalls, 1);
-                let sat = pool_query(w, ctx, sw, b);
-                w.u.solver.add_clause(&[!b]);
-                if !sat? {
-                    if init {
-                        w.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
-                    } else {
-                        live.append(&mut batch);
-                    }
-                    break;
-                }
-                let sep: Vec<bool> = ds.iter().map(|&d| w.u.solver.model_value(d)).collect();
-                let decoded = sep.iter().filter(|&&x| x).count() as u64;
-                ctx.obs.add(Counter::BatchPairsDecoded, decoded);
-                let lowest = batch
-                    .iter()
-                    .zip(&sep)
-                    .filter(|&(_, &x)| x)
+                    .zip(&ds)
+                    .filter(|&(_, &d)| w.u.solver.model_value(d))
                     .map(|(&(seq, _, _), _)| seq)
-                    .min()
-                    .unwrap_or(batch[0].0);
-                take_witness(w, ctx, sw, lowest, init);
-                batch = batch
-                    .iter()
-                    .zip(&sep)
-                    .filter(|&(_, &x)| !x)
-                    .map(|(&p, _)| p)
                     .collect();
+                ctx.obs
+                    .add(Counter::BatchPairsDecoded, separated.len() as u64);
+                let lowest = separated.into_iter().min().unwrap_or(batch[0].0);
+                return Err(take_witness(w, ctx, sw, lowest, init));
+            }
+            if init {
+                w.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
+            } else {
+                live.extend_from_slice(batch);
             }
         }
     }
     Ok(())
 }
 
-/// Sweeps chunks off the steal queues for one round, collecting every
-/// witness found — the pool's stop rules decide when the round has
-/// enough. Clauses are exchanged at chunk boundaries when a sibling
+/// Sweeps chunks off the steal queues for one round, until the queues
+/// drain or a witness — this worker's or a sibling's — trips the pool's
+/// stop token. Clauses are exchanged at chunk boundaries when a sibling
 /// exists to import them; with [`Options::batch_pairs`] ≥ 2 each chunk
 /// runs through [`batched_chunk_sweep`], else [`pair_chunk_sweep`].
 fn worker_sweep(
@@ -1184,13 +1020,12 @@ fn worker_round(
     );
     let mut sw = Sweep {
         act,
-        cexes: Vec::new(),
+        cex: None,
         queries: 0,
-        sigs: Vec::new(),
         ticker,
     };
     let out = match worker_sweep(w, wid, ctx, &mut sw) {
-        Ok(()) | Err(SweepEnd::Stopped) => WorkerRound::Done(sw.cexes),
+        Ok(()) | Err(SweepEnd::Stopped) => WorkerRound::Done(sw.cex),
         Err(SweepEnd::Budget) => WorkerRound::Budget,
         Err(SweepEnd::Abort(a)) => WorkerRound::Abort(a),
     };
@@ -1203,10 +1038,7 @@ fn worker_round(
         worker = wid,
         round = ctx.round,
         queries = sw.queries,
-        found = match &out {
-            WorkerRound::Done(c) => c.len() as u64,
-            _ => 0,
-        }
+        found = u64::from(matches!(out, WorkerRound::Done(Some(_))))
     );
     out
 }
@@ -1221,10 +1053,10 @@ fn worker_round(
 /// included). Every round, the canonical pair enumeration is rotated by
 /// a deterministic cursor, cut into chunks, and dealt round-robin onto
 /// work-stealing deques: workers pull from their own queue and steal
-/// from siblings when empty, exchange learned clauses and witness
-/// signatures between chunks, and stop when the pool's round-stop
-/// rules fire (see [`RoundPool`]). Worker 0 runs on the calling thread
-/// and carries the heartbeat ticker, so `jobs = 1` spawns no thread.
+/// from siblings when empty, exchange learned clauses between chunks,
+/// and stop at the round's first witness (see [`RoundPool`]). Worker 0
+/// runs on the calling thread and carries the heartbeat ticker, so
+/// `jobs = 1` spawns no thread.
 ///
 /// Workers return raw witnesses; only this driver mutates the
 /// partition, merging the witnesses in ascending `seq` order with
@@ -1325,13 +1157,12 @@ pub(crate) fn run_fixed_point(
             }
         }
         let n_pairs = pairs.len() + cold.len();
-        // Per-round clamp: never more workers than pairs. The
-        // query budget is keyed to the *requested* parallelism —
-        // the knob that sets round granularity — while the spawn
-        // count may clamp further (see [`SPAWN_AMORTIZE`]).
+        // Per-round clamp: never more workers than pairs, and never
+        // more than a worker's share of the *requested* parallelism
+        // amortizes on an oversubscribed host (see [`SPAWN_AMORTIZE`]).
         let requested = pool_size.min(n_pairs.max(1));
-        let query_budget = (n_pairs as u64 / requested as u64).max(MIN_ROUND_QUERIES);
-        let amortized = (SPAWN_AMORTIZE * query_budget / n_pairs.max(1) as u64).max(1) as usize;
+        let share = (n_pairs as u64 / requested as u64).max(MIN_ROUND_QUERIES);
+        let amortized = (SPAWN_AMORTIZE * share / n_pairs.max(1) as u64).max(1) as usize;
         let spawned = requested.min(hw.max(amortized));
         // The cold tail still rotates: rounds stop early once they
         // hold witnesses, so a fixed cold order would starve the
@@ -1389,11 +1220,10 @@ pub(crate) fn run_fixed_point(
                 None => workers.push(fresh),
             }
         }
-        let pool = RoundPool::new(spawned * WITNESS_TARGET_PER_WORKER, query_budget);
+        let pool = RoundPool::new();
         let outcomes: Vec<WorkerRound> = {
             let queues = StealQueues::new(chunks_of, &pool.stop);
             let ctx = WorkerCtx {
-                aig,
                 partition,
                 opts,
                 deadline,
@@ -1401,7 +1231,6 @@ pub(crate) fn run_fixed_point(
                 pool: &pool,
                 round: round_no,
                 obs,
-                struct_eqs,
             };
             let (first, rest) = workers[..spawned]
                 .split_first_mut()
@@ -1449,11 +1278,10 @@ pub(crate) fn run_fixed_point(
             close_round(obs, &mut sp, partition, classes_before);
             drop(sp);
             if !budget_hit {
-                // Zero witnesses means neither round-stop rule fired:
-                // every chunk was delivered, no pair was pruned (the
-                // signature pool stayed empty all round), and every
-                // query answered Unsat — a full certified sweep, so the
-                // partition is the fixed point. Worker 0's round `Q` is
+                // Zero witnesses means the stop token never tripped:
+                // every chunk was delivered and every query answered
+                // Unsat — a full certified sweep, so the partition is
+                // the fixed point. Worker 0's round `Q` is
                 // still active for the Theorem-1 output check.
                 let act = workers[0].prev_act.expect("worker 0 runs every round");
                 match check_outputs(&mut workers[0].u, partition, act, output_pairs, obs) {
@@ -1473,13 +1301,14 @@ pub(crate) fn run_fixed_point(
             }
             continue;
         }
-        // Merge: refine by every witness in canonical order, each
-        // with the seed its pair's query would use regardless of
-        // which worker ran it. A later witness may legitimately
-        // split nothing (an earlier one may already have separated
-        // its pair), but the lowest-`seq` witness satisfies the
-        // asserted round-start `Q` and violates its pair's
-        // equality, so the round as a whole must refine.
+        // Merge: refine by every witness in canonical order — one at
+        // `jobs = 1`, one per worker that answered Sat before it saw
+        // the stop token otherwise — each with the seed its pair's
+        // query would use regardless of which worker ran it. A later
+        // witness may legitimately split nothing (an earlier one may
+        // already have separated its pair), but the lowest-`seq`
+        // witness satisfies the asserted round-start `Q` and violates
+        // its pair's equality, so the round as a whole must refine.
         cexes.sort_by_key(|c| c.seq);
         let mut changed = false;
         for c in &cexes {

@@ -94,7 +94,9 @@ fn verdict_and_splits_are_jobs_invariant() {
 fn one_worker_pool_runs_inline_without_steals_or_exports() {
     // `jobs = 1` is a one-worker pool: one worker run per round, one
     // solver for the whole fixed point, nothing to steal from and no
-    // sibling to export clauses to.
+    // sibling to export clauses to. The first witness ends a round, so
+    // every refinement round merges exactly one witness and the
+    // certifying last round none.
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
         let recorder = Recorder::new();
         let r = Checker::new(
@@ -121,6 +123,11 @@ fn one_worker_pool_runs_inline_without_steals_or_exports() {
         assert_eq!(recorder.counter(Counter::WorkerSteals), 0, "pair {i}");
         assert_eq!(recorder.counter(Counter::ClausesShared), 0, "pair {i}");
         assert_eq!(r.stats.sat_solver_constructions, 1, "pair {i}");
+        assert_eq!(
+            recorder.counter(Counter::WorkerCexes),
+            r.stats.iterations as u64 - 1,
+            "pair {i}: one witness per refinement round"
+        );
     }
 }
 
@@ -137,17 +144,16 @@ fn sharded_run_matches_the_bdd_backend() {
 }
 
 #[test]
-fn clause_and_witness_sharing_never_change_the_result() {
-    // Soundness of the exchange pools: clauses shared between workers
-    // are implied by the base CNF, and witness-pruned pairs are split
-    // by the merge anyway, so enabling or disabling either exchange
-    // must leave the fixed point (and hence verdict and split count)
-    // bit-identical — sharing may only change which queries run.
+fn clause_sharing_never_changes_the_result() {
+    // Soundness of the clause exchange pool: clauses shared between
+    // workers are implied by the base CNF, so enabling or disabling the
+    // exchange must leave the fixed point (and hence verdict and split
+    // count) bit-identical — sharing may only change which queries run.
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
         let pm = ProductMachine::build(&spec, &imp).unwrap().aig;
         let reference = correspondence_partition(&pm, &Options::sat()).unwrap();
         let want = fingerprint(&pm, &reference);
-        for (clauses, witnesses) in [(false, false), (true, false), (false, true), (true, true)] {
+        for clauses in [false, true] {
             let got = correspondence_partition(
                 &pm,
                 &OptionsBuilder::sat()
@@ -155,15 +161,13 @@ fn clause_and_witness_sharing_never_change_the_result() {
                     // One-pair chunks maximize exchanges and steals.
                     .sat_chunk_pairs(1)
                     .sat_share_clauses(clauses)
-                    .sat_share_witnesses(witnesses)
                     .build(),
             )
             .unwrap();
             assert_eq!(
                 fingerprint(&pm, &got),
                 want,
-                "pair {i}: sharing (clauses={clauses}, witnesses={witnesses}) \
-                 changed the fixed point"
+                "pair {i}: sharing (clauses={clauses}) changed the fixed point"
             );
         }
     }

@@ -55,6 +55,18 @@ pub fn parse_aiger(text: &str) -> Result<Aig, ParseAigerError> {
     let nl = parse_num(fields[3], 1)?;
     let no = parse_num(fields[4], 1)?;
     let na = parse_num(fields[5], 1)?;
+    // Every input, latch, output and AND line holds at least one digit,
+    // and every line but the last a newline: a header promising more
+    // lines than the rest of the text can hold is rejected before any
+    // buffer is sized by its counts.
+    let rest = text.len().saturating_sub(header.len() + 1) as u64;
+    let promised = u64::from(ni) + u64::from(nl) + u64::from(no) + u64::from(na);
+    if 2 * promised > rest + 1 {
+        return Err(err(
+            1,
+            format!("header promises {promised} lines but only {rest} bytes follow"),
+        ));
+    }
 
     let mut input_lits = Vec::with_capacity(ni as usize);
     let mut latch_defs: Vec<(u32, u32, bool)> = Vec::with_capacity(nl as usize);
@@ -430,10 +442,26 @@ pub fn parse_aiger_binary(data: &[u8]) -> Result<Aig, ParseAigerBinError> {
     let nl = parse_num(fields[3])?;
     let no = parse_num(fields[4])?;
     let na = parse_num(fields[5])?;
-    if m != ni + nl + na {
-        return Err(err(0, format!("M = {m} but I+L+A = {}", ni + nl + na)));
+    // Summed in u64 so that a wrapping sum cannot match `M`.
+    let sum = u64::from(ni) + u64::from(nl) + u64::from(na);
+    if u64::from(m) != sum {
+        return Err(err(0, format!("M = {m} but I+L+A = {sum}")));
     }
     let mut pos = hdr_end + 1;
+    // Inputs are implicit, but every latch and output line holds a
+    // digit and a newline and every AND two delta codes of at least a
+    // byte each: a header promising more than the rest of the file can
+    // hold is rejected before any buffer is sized by its counts.
+    let rest = (data.len() - pos) as u64;
+    let promised = u64::from(nl) + u64::from(no) + u64::from(na);
+    if 2 * promised > rest {
+        return Err(err(
+            pos,
+            format!(
+                "header promises {promised} latches, outputs and ANDs but only {rest} bytes follow"
+            ),
+        ));
+    }
 
     // Inputs are implicit. Latch and output lines are ASCII. Returns
     // the line's *start* offset alongside its text so parse errors can

@@ -76,6 +76,29 @@ fn handcrafted_circuit_roundtrips_through_every_format() {
 }
 
 #[test]
+fn oversized_aiger_headers_are_parse_errors() {
+    // Header counts no file could back: each must come back as an
+    // ordinary parse error before any buffer is sized by the counts.
+    for (name, bytes) in [
+        // 4e9 ANDs promised by a 33-byte text.
+        ("huge.aag", &b"aag 4000000000 0 0 0 4000000000\n"[..]),
+        (
+            "huge_no_newline.aag",
+            &b"aag 4000000000 0 0 0 4000000000"[..],
+        ),
+        // `I+L+A` wraps to `M = 0` in u32.
+        ("wrap.aig", &b"aig 0 4294967295 1 0 0\n2\n"[..]),
+        // 4e9 ANDs promised by an empty body.
+        ("huge.aig", &b"aig 4000000000 0 0 0 4000000000\n"[..]),
+    ] {
+        assert!(load_model_bytes(name, bytes).is_err(), "{name}");
+    }
+    // The bound is tight: two one-digit lines, the last without a
+    // newline, in the 3 bytes after the header.
+    assert!(load_model_bytes("tight.aag", b"aag 1 1 0 1 0\n2\n2").is_ok());
+}
+
+#[test]
 fn load_model_detects_all_three_formats_on_disk() {
     let dir = std::env::temp_dir().join(format!("sec-formats-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

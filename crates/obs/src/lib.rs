@@ -225,13 +225,6 @@ counters! {
         /// (each import into a sibling solver re-counts nothing: this
         /// counts publications, not copies).
         ClausesShared => "clauses_shared",
-        /// Amplified counterexample witnesses published to sibling
-        /// workers so their remaining queries can be pruned.
-        WitnessesShared => "witnesses_shared",
-        /// Candidate-pair queries skipped because a published witness
-        /// already separates the pair (the merge will split it without
-        /// a solver call).
-        WitnessPrunedPairs => "witness_pruned_pairs",
         /// Candidate signals collapsed onto a structural-bisimulation
         /// representative before the fixed point started
         /// (`Options::strash`); they rejoin their representative's

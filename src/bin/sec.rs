@@ -51,7 +51,7 @@ fn usage() -> ! {
          [--no-sim-seed] [--no-funcdep] [--approx-reach] [--retime-rounds N]\n           \
          [--timeout SECS] [--engine-timeout SECS] [--node-limit N]\n           \
          [--bmc-depth N] [--seed N] [--jobs N] [--chunk-pairs N]\n           \
-         [--no-share-clauses] [--no-share-witnesses] [--no-strash]\n           \
+         [--no-share-clauses] [--no-strash]\n           \
          [--batch-pairs N] [--json] [--stats]\n           \
          [--trace-json FILE] [--progress[=SECS]]\n  \
          sec info <circuit>\n  \
@@ -349,7 +349,6 @@ fn cmd_check(args: &[String]) {
                     .unwrap_or_else(|_| usage())
             }
             "--no-share-clauses" => opts.sat_share_clauses = false,
-            "--no-share-witnesses" => opts.sat_share_witnesses = false,
             "--no-strash" => strash_override = Some(false),
             "--batch-pairs" => {
                 batch_pairs_override = Some(

@@ -208,6 +208,15 @@ fn info_reports_stats() {
 }
 
 #[test]
+fn info_on_an_oversized_aiger_header_exits_three() {
+    // The header promises 4e9 AND lines in a 33-byte file: a parse
+    // error (exit 3), not an allocation abort.
+    let aag = write_tmp("huge_header.aag", "aag 4000000000 0 0 0 4000000000\n");
+    let out = Command::new(SEC).args(["info"]).arg(&aag).output().unwrap();
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+}
+
+#[test]
 fn dot_emits_graphviz() {
     let spec = write_tmp("spec_dot.bench", TOGGLE);
     let out = Command::new(SEC).args(["dot"]).arg(&spec).output().unwrap();
