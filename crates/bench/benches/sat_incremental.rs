@@ -7,9 +7,8 @@
 //! of the persistent solver and counterexample amplification is
 //! tracked as a number instead of an anecdote. The `monolithic` rows
 //! are the `Options::sat_monolithic` preset: rebuild mode (each round's
-//! solver re-cloned from the shared encoding) without amplification;
-//! the `incremental` rows are `Options::sat`. Both run the one
-//! refinement pool at `jobs = 1`.
+//! solver re-cloned from one encoding) without amplification; the
+//! `incremental` rows are `Options::sat`.
 //!
 //! Not a criterion timing loop on purpose: the quantities of interest
 //! (rounds, calls, conflicts) are deterministic per configuration, and

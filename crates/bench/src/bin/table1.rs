@@ -18,7 +18,6 @@
 //!   --skip-traversal    only run the proposed method
 //!   --timeout SECS      per-row budget for the proposed method
 //!   --trav-timeout SECS per-row budget for the baseline
-//!   --jobs N            shard SAT refinement rounds over N workers
 //!   --retime-only       instances without combinational optimization
 //!   --trace-json FILE   stream every engine event as NDJSON to FILE
 //!   --stats             print whole-run event-counter totals after the table
@@ -75,23 +74,6 @@ fn main() {
                 i += 1;
                 cfg.traversal_timeout =
                     Duration::from_secs(args[i].parse().expect("--trav-timeout SECS"));
-            }
-            "--jobs" => {
-                i += 1;
-                let requested: usize =
-                    args[i].parse().ok().filter(|n| *n >= 1).unwrap_or_else(|| {
-                        eprintln!(
-                            "--jobs needs a worker count of at least 1, got `{}` \
-                             (hint: pass --jobs 1 for a serial run, or omit the flag)",
-                            args[i]
-                        );
-                        std::process::exit(3);
-                    });
-                let (jobs, warning) = sec_limits::effective_jobs(requested);
-                if let Some(w) = warning {
-                    eprintln!("{w}");
-                }
-                cfg.jobs = jobs;
             }
             "--trace-json" => {
                 i += 1;

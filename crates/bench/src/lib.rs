@@ -42,9 +42,6 @@ pub struct RunConfig {
     pub optimize: bool,
     /// Seed for instance creation.
     pub seed: u64,
-    /// Worker threads for the SAT backend's sharded refinement rounds
-    /// (`table1 --jobs N`); 1 is single-threaded.
-    pub jobs: usize,
     /// Interval between `progress` heartbeat events emitted from the
     /// engines' hot loops (`table1 --progress[=SECS]`).
     pub progress_interval: Option<Duration>,
@@ -68,7 +65,6 @@ impl Default for RunConfig {
             run_traversal: true,
             optimize: true,
             seed: 0xDA7E,
-            jobs: 1,
             progress_interval: None,
             obs: Obs::off(),
         }
@@ -143,7 +139,6 @@ pub fn run_proposed(spec: &Aig, imp: &Aig, cfg: &RunConfig) -> MethodResult {
     };
     let opts = base
         .backend(cfg.backend)
-        .jobs(cfg.jobs)
         .sim_cycles(if cfg.sim_seed { 16 } else { 0 })
         .functional_deps(cfg.functional_deps)
         .approx_reach(cfg.approx_reach)
@@ -185,7 +180,6 @@ pub fn run_portfolio(spec: &Aig, imp: &Aig, cfg: &RunConfig) -> MethodResult {
     let opts = PortfolioOptions {
         timeout: Some(cfg.timeout),
         seed: cfg.seed,
-        jobs: cfg.jobs,
         node_limit: cfg.node_limit,
         traversal_node_limit: cfg.traversal_node_limit,
         progress_interval: cfg.progress_interval,

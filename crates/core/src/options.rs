@@ -18,13 +18,12 @@ pub enum Backend {
     /// A CDCL SAT solver over a two-frame Tseitin unrolling — the
     /// "introduction of extra variables representing intermediate
     /// signals" the paper's conclusion anticipates (and what modern
-    /// `scorr`-style tools do). One driver runs every fixed point: a
-    /// work-stealing pool of [`Options::jobs`] workers, each with its
-    /// own solver over the once-encoded unrolling. By default every
-    /// solver persists across refinement rounds
-    /// ([`Options::sat_incremental`]); rebuilding it each round is the
-    /// [`Options::sat_monolithic`] ablation baseline and the
-    /// conflict-budget fall-back mode.
+    /// `scorr`-style tools do). Every fixed point runs its rounds one
+    /// after another over a single solver on the calling thread, each
+    /// round ending at its first counterexample. By default the solver
+    /// persists across refinement rounds ([`Options::sat_incremental`]);
+    /// rebuilding it each round is the [`Options::sat_monolithic`]
+    /// ablation baseline and the conflict-budget fall-back mode.
     Sat,
 }
 
@@ -59,28 +58,6 @@ pub struct Options {
     pub scope: SignalScope,
     /// RNG seed (reference input vector, simulation patterns).
     pub seed: u64,
-    /// Workers of the SAT backend's **work-stealing refinement pool**
-    /// (the BDD backend ignores it). Each round's candidate-pair
-    /// checks are split into chunks on work-stealing deques: each
-    /// worker owns a solver cloned from the shared two-frame CNF
-    /// encoding, pulls chunks from its own queue and steals from
-    /// siblings when empty. Between chunks, workers exchange short
-    /// learned clauses over the shared encoding variables
-    /// ([`Options::sat_share_clauses`]). The first counterexample any
-    /// worker finds ends the round: the pool's stop token trips and
-    /// every sibling stops at its next query. `1` — the default — is a
-    /// one-worker pool run on the calling thread: no thread is
-    /// spawned, no clause is exported, chunks are never narrower than
-    /// [`Options::batch_pairs`], and every refinement round merges
-    /// exactly one witness. The effective worker count is clamped to
-    /// the round's candidate-pair count, so oversubscribed `--jobs`
-    /// never spawns idle threads. Workers return counterexample
-    /// witnesses which the driver amplifies and merges
-    /// deterministically in ascending canonical pair order, so the
-    /// final partition and verdict are bit-identical for every jobs
-    /// count (round *trajectories* may differ — see
-    /// `docs/PARALLEL.md`).
-    pub jobs: usize,
     /// Cycles of random sequential simulation used to seed the candidate
     /// partition (paper Sec. 4). `0` disables seeding: the iteration then
     /// starts from the single all-signals class.
@@ -113,14 +90,14 @@ pub struct Options {
     /// Run sifting-based reordering when the BDD table grows (BDD backend
     /// only).
     pub sift: bool,
-    /// Incremental SAT fixed point (SAT backend only): every pool
-    /// worker keeps its solver across all refinement rounds, guarding
-    /// each round's correspondence condition `Q` behind an activation
-    /// literal that is retracted (a unit `¬act`) at the next round
-    /// start. Learned clauses and variable activities survive every
-    /// round. `false` selects **rebuild mode**: every worker's solver
-    /// is re-cloned from the shared base encoding at each round start,
-    /// so nothing learnt outlives its round.
+    /// Incremental SAT fixed point (SAT backend only): the solver
+    /// persists across all refinement rounds, guarding each round's
+    /// correspondence condition `Q` behind an activation literal that
+    /// is retracted (a unit `¬act`) at the next round start. Learned
+    /// clauses and variable activities survive every round. `false`
+    /// selects **rebuild mode**: the solver is re-cloned from the base
+    /// encoding at each round start, so nothing learnt outlives its
+    /// round.
     pub sat_incremental: bool,
     /// 64-bit words of bit-parallel counterexample amplification per
     /// satisfiable SAT query (SAT backend only): the witness plus
@@ -135,23 +112,6 @@ pub struct Options {
     /// misreading the budgeted query as "unsatisfiable". `None` means
     /// no budget.
     pub sat_conflict_budget: Option<u64>,
-    /// Exchange short learned clauses between the workers of the
-    /// refinement pool (SAT backend, rounds that run more than one
-    /// worker). At every chunk
-    /// boundary a worker exports learnt clauses and level-0 units
-    /// whose variables all lie in the shared two-frame encoding —
-    /// facts implied by the base CNF alone, hence sound in any
-    /// sibling solver — and imports what siblings published. Sharing
-    /// never changes the verdict or final partition; it only prunes
-    /// duplicate conflict derivations. Disable for ablation runs.
-    pub sat_share_clauses: bool,
-    /// Candidate pairs per work-stealing chunk of the refinement pool.
-    /// `0` — the default — sizes chunks automatically from the
-    /// round's pair count and the worker count, never narrower than
-    /// [`Options::batch_pairs`]. Smaller chunks
-    /// react faster to a sibling's counterexample, larger chunks
-    /// amortize exchange overhead; see `docs/PARALLEL.md` for tuning.
-    pub sat_chunk_pairs: usize,
     /// Layer 1 of the candidate-set reduction pipeline (SAT backend
     /// only): collapse structurally bisimilar signals
     /// ([`sec_netlist::structural_repr`]) into one class member each
@@ -170,11 +130,10 @@ pub struct Options {
     /// literal `b` with the clause `¬b ∨ d₁ ∨ … ∨ dₖ` over the pairs'
     /// cached difference literals asks the solver for *any* pair the
     /// current correspondence condition fails to prove; `Unsat` proves
-    /// all `k` pairs at once, `Sat` yields a witness whose model says
-    /// which pairs it separates (`batch_pairs_decoded`), and the batch
-    /// is rebuilt from the still-co-classed survivors until it proves
-    /// dry. `0` or `1` keeps the per-pair query path. Batched calls
-    /// are counted by `batched_calls`. Off in [`Options::paper`], on
+    /// all `k` pairs at once; `Sat` yields the round's witness, and its
+    /// model says which pairs it separates (`batch_pairs_decoded`).
+    /// `0` or `1` keeps the per-pair query path. Batched calls are
+    /// counted by `batched_calls`. Off in [`Options::paper`], on
     /// in [`Options::sat`].
     pub batch_pairs: usize,
     /// Refute cheaply by lockstep random simulation before the fixed
@@ -211,7 +170,6 @@ impl Default for Options {
             backend: Backend::Bdd,
             scope: SignalScope::All,
             seed: 0xEC98,
-            jobs: 1,
             sim_cycles: 16,
             sim_words: 2,
             retime_rounds: 4,
@@ -225,8 +183,6 @@ impl Default for Options {
             sat_incremental: true,
             sat_amplify_words: 1,
             sat_conflict_budget: None,
-            sat_share_clauses: true,
-            sat_chunk_pairs: 0,
             strash: false,
             batch_pairs: 0,
             sim_refute: true,
@@ -246,11 +202,9 @@ impl Options {
         Options::default()
     }
 
-    /// SAT-backend configuration: incremental solvers, amplification
-    /// on, and the candidate-set reduction pipeline enabled
-    /// (structural collapsing and batched queries). With the default
-    /// `jobs: 1` the refinement pool has one worker on the calling
-    /// thread; [`Options::jobs`] widens it.
+    /// SAT-backend configuration: an incremental solver,
+    /// amplification on, and the candidate-set reduction pipeline
+    /// enabled (structural collapsing and batched queries).
     pub fn sat() -> Options {
         Options {
             backend: Backend::Sat,
@@ -261,7 +215,7 @@ impl Options {
     }
 
     /// SAT-backend configuration with the pre-incremental behaviour:
-    /// rebuild mode (a fresh solver per worker per refinement round)
+    /// rebuild mode (a fresh solver per refinement round)
     /// and single-witness splitting. The baseline the incremental mode
     /// is benchmarked against.
     pub fn sat_monolithic() -> Options {
@@ -292,9 +246,9 @@ impl Options {
     /// ```
     /// use sec_core::{Backend, Options};
     ///
-    /// let opts = Options::builder().backend(Backend::Sat).jobs(4).build();
+    /// let opts = Options::builder().backend(Backend::Sat).batch_pairs(8).build();
     /// assert_eq!(opts.backend, Backend::Sat);
-    /// assert_eq!(opts.jobs, 4);
+    /// assert_eq!(opts.batch_pairs, 8);
     /// ```
     pub fn builder() -> OptionsBuilder {
         OptionsBuilder::new()
@@ -323,9 +277,9 @@ macro_rules! setters {
 /// ```
 /// use sec_core::OptionsBuilder;
 ///
-/// let opts = OptionsBuilder::sat().jobs(4).sat_amplify_words(2).build();
+/// let opts = OptionsBuilder::sat().sat_amplify_words(2).build();
 /// assert!(opts.sat_incremental);
-/// assert_eq!(opts.jobs, 4);
+/// assert_eq!(opts.sat_amplify_words, 2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OptionsBuilder {
@@ -373,9 +327,6 @@ impl OptionsBuilder {
         scope: SignalScope,
         /// Sets the RNG seed.
         seed: u64,
-        /// Sets the worker count of the refinement pool (see
-        /// [`Options::jobs`]).
-        jobs: usize,
         /// Sets the simulation-seeding cycle count (`0` disables).
         sim_cycles: usize,
         /// Sets the simulation pattern width in 64-bit words.
@@ -403,11 +354,6 @@ impl OptionsBuilder {
         sat_amplify_words: usize,
         /// Sets the per-query conflict budget of the incremental mode.
         sat_conflict_budget: Option<u64>,
-        /// Enables/disables learned-clause exchange between workers
-        /// (see [`Options::sat_share_clauses`]).
-        sat_share_clauses: bool,
-        /// Sets the work-stealing chunk size in pairs (`0` = auto).
-        sat_chunk_pairs: usize,
         /// Enables/disables structural collapsing of bisimilar signals
         /// before the fixed point (see [`Options::strash`]).
         strash: bool,

@@ -14,18 +14,18 @@
 //! * an **initial frame** over its own inputs `x_I` with the registers
 //!   tied to their initial values (condition 1 of Definition 2).
 //!
-//! **One driver for every jobs count.** [`run_fixed_point`] runs each
-//! refinement round on a work-stealing pool of workers, each owning a
-//! clone of the encoding (solver included); `jobs = 1` is a one-worker
-//! pool run on the calling thread. A round ends at the first witness
-//! any worker finds; workers return raw witnesses and the driver alone
-//! refines the partition, in canonical pair order, so the final
-//! partition and verdict are the same for every jobs count.
+//! **One solver, one round at a time.** Van Eijk's fixed point is
+//! sequential across rounds — `T_{i+1}` is computed under `Q_{T_i}` —
+//! so [`run_fixed_point`] runs every refinement round as one sweep of
+//! the candidate pairs over a single solver on the calling thread. A
+//! round ends at its first witness, which refines the partition; a
+//! round without one is a certified full sweep, so the partition is the
+//! fixed point.
 //!
-//! **Incremental mode** (default): each worker's solver persists across
-//! every refinement round. `Q_{T_i}` is never asserted as hard clauses:
-//! each `(member, representative)` pair gets a persistent guard `g`
-//! with `g → (m = r)` created once per pair lifetime, and each round's
+//! **Incremental mode** (default): the solver persists across every
+//! refinement round. `Q_{T_i}` is never asserted as hard clauses: each
+//! `(member, representative)` pair gets a persistent guard `g` with
+//! `g → (m = r)` created once per pair lifetime, and each round's
 //! activation literal `act_i` implies the live pairs' guards (one binary
 //! clause apiece), with `act_i` passed to every query as an assumption.
 //! At the next round start the unit clause `¬act_i` retracts the round;
@@ -37,15 +37,15 @@
 //! pair guards and cached difference literals keep pruning later
 //! rounds' queries.
 //!
-//! **Rebuild mode** (`sat_incremental: false`): every worker's solver is
-//! re-cloned from the shared base encoding at each round start, so no
-//! learnt clause outlives its round — the ablation baseline of the
-//! incremental mode. A per-query conflict budget (off by default)
-//! bounds how much a persistent solver may thrash on one query; on
-//! exhaustion the run drops the budget, switches to rebuild mode, and
-//! redoes the round from the round-start partition, which is sound
-//! because every split already applied is justified. A budgeted or
-//! interrupted query is never read as "unsatisfiable".
+//! **Rebuild mode** (`sat_incremental: false`): the solver is re-cloned
+//! from the base encoding at each round start, so no learnt clause
+//! outlives its round — the ablation baseline of the incremental mode.
+//! A per-query conflict budget (off by default) bounds how much a
+//! persistent solver may thrash on one query; on exhaustion the run
+//! drops the budget, switches to rebuild mode, and redoes the round
+//! from the round-start partition, which is sound because every split
+//! already applied is justified. A budgeted or interrupted query is
+//! never read as "unsatisfiable".
 //!
 //! Satisfiable queries yield a witness `(s, x_t, x_{t+1})` that is
 //! **amplified**: packed with bit-flipped neighbour patterns into one
@@ -57,21 +57,18 @@
 use crate::context::{Abort, Deadline, SatMeter};
 use crate::options::Options;
 use crate::partition::Partition;
-use sec_limits::{CancellationToken, StealQueues};
 use sec_netlist::{Aig, Lit, Var};
 use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
 use sec_sim::{amplify_init, amplify_two_frame, eval_single, next_state_single, BitSim};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The two-frame (+ initial frame) unrolling of the product machine,
 /// encoded in a fresh solver.
 ///
 /// `Clone` snapshots the whole encoding — solver included — which is
-/// how the pool hands each worker its own solver over the shared CNF:
-/// encode once, clone per worker.
+/// how rebuild mode gets a fresh solver every round without encoding
+/// the circuit again.
 #[derive(Clone)]
 struct Unrolling {
     solver: Solver,
@@ -103,20 +100,11 @@ struct Unrolling {
     /// one clause per pair instead of two, and clauses learned against
     /// a pair's guard keep their meaning across rounds.
     pair_guards: HashMap<(Var, Var), SatLit>,
-    /// Solver variable count right after the base CNF was encoded —
-    /// the clause-sharing frontier of the pool. Every variable below
-    /// it belongs to the two-frame encoding common to all worker
-    /// clones; everything at or above it (guards, activation literals,
-    /// difference literals) is private to one solver. Clauses confined
-    /// to the shared prefix are implied by the base CNF alone and may
-    /// travel between workers (see [`Solver::export_learnts`]).
-    base_vars: usize,
 }
 
 impl Unrolling {
     /// Encodes the unrolling, with the collapsed structural equalities
-    /// ([`Unrolling::assert_struct_eqs`]) asserted: the shared base
-    /// encoding every worker's solver is cloned from.
+    /// ([`Unrolling::assert_struct_eqs`]) asserted.
     fn build(aig: &Aig, struct_eqs: &[(Var, Lit)]) -> Unrolling {
         let mut u = Aig::new();
         let s_in: Vec<Var> = (0..aig.num_latches())
@@ -164,7 +152,6 @@ impl Unrolling {
 
         let mut solver = Solver::new();
         let cnf = AigCnf::encode(&mut solver, &u);
-        let base_vars = solver.num_vars();
         let mut unrolling = Unrolling {
             solver,
             cnf,
@@ -178,7 +165,6 @@ impl Unrolling {
             pair_diffs: HashMap::new(),
             out_diffs: HashMap::new(),
             pair_guards: HashMap::new(),
-            base_vars,
         };
         unrolling.assert_struct_eqs(struct_eqs);
         unrolling
@@ -415,42 +401,29 @@ fn open_round(obs: &Obs, round: usize) -> sec_obs::Span {
     span!(obs, "round", round = round, backend = "sat")
 }
 
-/// Records a finished round's refinement outcome on its span and in the
-/// `splits` counter (classes only ever split, so the class-count delta
-/// is exactly the number of new classes).
-fn close_round(obs: &Obs, sp: &mut sec_obs::Span, partition: &Partition, classes_before: usize) {
+/// Records a finished round's refinement outcome and query count on its
+/// span, and its splits in the `splits` counter (classes only ever
+/// split, so the class-count delta is exactly the number of new
+/// classes).
+fn close_round(
+    obs: &Obs,
+    sp: &mut sec_obs::Span,
+    partition: &Partition,
+    classes_before: usize,
+    queries: u64,
+) {
     let splits = (partition.num_classes() - classes_before) as u64;
     obs.add(Counter::Splits, splits);
     sp.record("splits", splits);
     sp.record("classes", partition.num_classes());
+    sp.record("queries", queries);
 }
-
-/// Length cap on clauses exchanged between workers: long learnts
-/// rarely prune a sibling's search but always cost propagation, so
-/// only short ones travel (the classic portfolio-solver heuristic).
-const MAX_SHARED_LITS: usize = 8;
-
-/// Floor on the per-worker share of a round's pairs that the spawn
-/// clamp reads (see [`SPAWN_AMORTIZE`]): a small round counts as at
-/// least this many queries per worker, so a tiny share alone does not
-/// clamp it to fewer workers.
-const MIN_ROUND_QUERIES: u64 = 32;
-
-/// Spawn-amortization ratio: a worker joins a round only while its
-/// share of the round's pairs covers its setup — re-asserting one
-/// activation clause per live pair, roughly 1/50th of a solver query
-/// apiece, kept to half the worker's expected share. Spawning beyond
-/// `SPAWN_AMORTIZE * share / pairs` workers on an oversubscribed host
-/// just multiplies per-round setup without adding throughput; hosts
-/// with real hardware parallelism always spawn at least
-/// [`std::thread::available_parallelism`] workers.
-const SPAWN_AMORTIZE: u64 = 25;
 
 /// The deterministic per-query amplification seed of a candidate
 /// pair's counterexample — a function of the round number and the
-/// pair's canonical sequence number only, never of which worker ran
-/// the query, so the merge amplifies the same pattern set at every
-/// jobs count.
+/// pair's canonical sequence number only, never of the scan order, so
+/// hot-first ordering and the rotating cold cursor never change which
+/// patterns a witness is amplified with.
 fn cex_seed(opts_seed: u64, round: usize, seq: u64, init: bool) -> u64 {
     let query_seq = (round as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -463,10 +436,7 @@ fn cex_seed(opts_seed: u64, round: usize, seq: u64, init: bool) -> u64 {
         }
 }
 
-/// A witness a worker carried out of its sweep, keyed by the canonical
-/// sequence number of the pair whose query produced it. Workers return
-/// these raw input assignments — never partition mutations — so the
-/// driver alone refines, in ascending-`seq` order.
+/// The input assignment a witness carries.
 enum CexKind {
     /// Condition-2 witness `(s, x_t, x_{t+1})`.
     TwoFrame {
@@ -478,62 +448,43 @@ enum CexKind {
     Init { xi: Vec<bool> },
 }
 
-struct WorkerCex {
+/// A round's witness, keyed by the canonical sequence number of the
+/// pair whose query produced it.
+struct Witness {
     seq: u64,
     kind: CexKind,
 }
 
-/// What one worker's round produced.
-enum WorkerRound {
-    /// Swept until the queues drained or the pool's stop token tripped;
-    /// carries the witness this worker took, if any.
-    Done(Option<WorkerCex>),
-    /// A query exhausted the per-query conflict budget.
-    Budget,
-    /// A real abort: external cancellation, timeout, or resource limit
-    /// (never the pool's own stop flag — see [`sibling_or_abort`]).
-    Abort(Abort),
-}
-
-/// One pool worker's state: its own solver over the shared CNF —
-/// persistent across rounds in incremental mode, re-cloned from the
-/// base encoding every round in rebuild mode — plus the cross-round
-/// condition-1 cache.
-struct Worker {
+/// The run's one solver — persistent across rounds in incremental
+/// mode, re-cloned from the base encoding every round in rebuild mode —
+/// plus the cross-round condition-1 cache.
+struct RoundSolver {
     u: Unrolling,
     meter: SatMeter,
     /// The previous round's activation literal, retracted at the start
-    /// of the next round (or left active for the final Theorem-1 check
-    /// on worker 0).
+    /// of the next round (or left active for the final Theorem-1
+    /// check).
     prev_act: Option<SatLit>,
-    /// Clause-export cursors of this worker's solver (see
-    /// [`Solver::export_learnts`]); they survive rounds so each learnt
-    /// is published at most once over the solver's lifetime.
-    clause_cursor: usize,
-    trail_cursor: usize,
-    /// Pairs this worker has proven equal on the initial frame. The
-    /// initial-frame unrolling is a subgraph disjoint from frame 0, so
-    /// the round's `Q` (frame-0 equalities) cannot influence the
-    /// condition-1 query: once unsatisfiable, it is unsatisfiable in
-    /// every later round and never needs re-running. Keyed by the
-    /// normalized `(member, representative)` pair — a split that gives
-    /// `m` a new representative makes a new key and re-proves.
+    /// Pairs proven equal on the initial frame. The initial-frame
+    /// unrolling is a subgraph disjoint from frame 0, so the round's
+    /// `Q` (frame-0 equalities) cannot influence the condition-1 query:
+    /// once unsatisfiable, it is unsatisfiable in every later round and
+    /// never needs re-running. Keyed by the normalized `(member,
+    /// representative)` pair — a split that gives `m` a new
+    /// representative makes a new key and re-proves.
     init_eq: HashSet<(Var, Var)>,
 }
 
-impl Worker {
-    /// A worker over a freshly cloned solver, counted in
-    /// `sat_solver_constructions`.
-    fn new(mut u: Unrolling, budget: Option<u64>, obs: &Obs) -> Worker {
+impl RoundSolver {
+    /// A solver over `u`, counted in `sat_solver_constructions`.
+    fn new(mut u: Unrolling, budget: Option<u64>, obs: &Obs) -> RoundSolver {
         obs.add(Counter::SatSolverConstructions, 1);
         u.solver.set_obs(obs.clone());
         u.solver.set_conflict_budget(budget);
-        Worker {
+        RoundSolver {
             u,
             meter: SatMeter::new(obs),
             prev_act: None,
-            clause_cursor: 0,
-            trail_cursor: 0,
             init_eq: HashSet::new(),
         }
     }
@@ -541,10 +492,27 @@ impl Worker {
     /// Rebuild mode: takes over `fresh`'s solver, flushing the retired
     /// solver's totals first. The condition-1 cache survives — a
     /// proof on the initial frame holds in every solver.
-    fn replace_solver(&mut self, fresh: Worker) {
+    fn replace_solver(&mut self, fresh: RoundSolver) {
         self.meter.flush(&self.u.solver);
         let init_eq = std::mem::take(&mut self.init_eq);
-        *self = Worker { init_eq, ..fresh };
+        *self = RoundSolver { init_eq, ..fresh };
+    }
+
+    /// Opens a round: retracts the last round's `Q` and asserts this
+    /// round's behind a fresh activation literal, which it returns.
+    fn start_round(&mut self, partition: &Partition, deadline: &Deadline) -> SatLit {
+        self.u.solver.set_limits(deadline.limits());
+        if let Some(prev) = self.prev_act.take() {
+            self.u.solver.add_clause(&[!prev]);
+            // Reclaim the retracted clauses; a persistent solver would
+            // otherwise scan every past round's dead watchers on every
+            // guard propagation, a cost that grows with the round number.
+            self.u.solver.simplify_level0();
+        }
+        let act = self.u.solver.new_var().positive();
+        self.u.assert_q(partition, act);
+        self.prev_act = Some(act);
+        act
     }
 }
 
@@ -648,223 +616,112 @@ impl DepMap {
     }
 }
 
-/// State shared by one round's worker pool: the stop token and the
-/// clause exchange pool.
-///
-/// The round stops — token tripped, undelivered chunks abandoned — at
-/// the first witness any worker takes ([`take_witness`]): van Eijk's
-/// fixed point is unique, so how many witnesses a round merges changes
-/// only the cost, never the partition, and every query past the first
-/// witness would be re-asked under the next round's finer `Q` anyway.
-/// Siblings may still take a witness of their own in the moment before
-/// they see the token; the merge takes them all. A round with *zero*
-/// witnesses never stops early: the fixed-point certification requires
-/// a full sweep, and it gets one because only a witness trips the stop.
-struct RoundPool {
-    stop: CancellationToken,
-    /// Published clauses as `(publisher, clause)`; a worker skips its
-    /// own entries on import.
-    clauses: Mutex<Vec<(usize, Vec<SatLit>)>>,
-    clause_count: AtomicUsize,
-}
-
-impl RoundPool {
-    fn new() -> RoundPool {
-        RoundPool {
-            stop: CancellationToken::new(),
-            clauses: Mutex::new(Vec::new()),
-            clause_count: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Maps an interrupted worker query to what it means for the round. The
-/// worker's solver watches *two* flags — the external deadline/token and
-/// the pool's stop token — and both surface as an interrupt, so re-check
-/// the external deadline to tell them apart: if it is clean, a sibling
-/// tripped the pool flag (round stop, budget, or abort elsewhere) and
-/// this worker just stops quietly (`None`); interruption is never read
-/// as `Unsat`.
-fn sibling_or_abort(abort: Abort, deadline: &Deadline) -> Option<Abort> {
-    match deadline.check() {
-        Err(real) => Some(real),
-        Ok(()) => match abort {
-            Abort::Cancelled => None,
-            other => Some(other),
-        },
-    }
-}
-
-/// Everything a worker's round reads but never writes, bundled so the
-/// per-worker entry points stay within clippy's argument budget.
-struct WorkerCtx<'a> {
+/// Everything one round's sweep reads but never writes.
+struct RoundCtx<'a> {
     partition: &'a Partition,
     opts: &'a Options,
-    deadline: &'a Deadline,
-    queues: &'a StealQueues<(u64, Var, Var)>,
-    pool: &'a RoundPool,
     round: usize,
     obs: &'a Obs,
 }
 
-/// Why a worker's sweep over the steal queues ended early.
+/// Why a round's sweep ended before it certified every pair.
 enum SweepEnd {
-    /// The pool's stop token tripped — by this worker's own witness or
-    /// a sibling's; the witness taken, if any, is valid.
-    Stopped,
+    /// A query was satisfiable: the round's one witness.
+    Witness(Witness),
     /// A query exhausted the per-query conflict budget.
     Budget,
     /// External cancellation, timeout, or resource limit.
     Abort(Abort),
 }
 
-/// One chunk-boundary clause exchange: publish this solver's fresh
-/// learnts over the shared encoding variables, then import whatever
-/// siblings published since the last exchange. Importing a clause the
-/// base CNF implies can never make the (satisfiable) two-frame
-/// encoding unsatisfiable, so a failed import is surfaced as an
-/// internal inconsistency rather than folded into a verdict.
-fn exchange_clauses(
-    w: &mut Worker,
-    wid: usize,
-    ctx: &WorkerCtx,
-    imported_upto: &mut usize,
-) -> Result<(), Abort> {
-    let base = w.u.base_vars;
-    let fresh = w.u.solver.export_learnts(
-        base,
-        MAX_SHARED_LITS,
-        &mut w.clause_cursor,
-        &mut w.trail_cursor,
-    );
-    if !fresh.is_empty() {
-        ctx.obs.add(Counter::ClausesShared, fresh.len() as u64);
-        let mut pool = ctx.pool.clauses.lock().expect("clause pool poisoned");
-        pool.extend(fresh.into_iter().map(|c| (wid, c)));
-        ctx.pool.clause_count.store(pool.len(), Ordering::Release);
-    }
-    if ctx.pool.clause_count.load(Ordering::Acquire) > *imported_upto {
-        // Copy the fresh tail out of the lock: imports propagate inside
-        // the solver and must not stall the siblings' publishes.
-        let news: Vec<(usize, Vec<SatLit>)> = {
-            let pool = ctx.pool.clauses.lock().expect("clause pool poisoned");
-            let news = pool[*imported_upto..].to_vec();
-            *imported_upto = pool.len();
-            news
-        };
-        for (src, clause) in &news {
-            if *src != wid && !w.u.solver.import_shared_clause(clause) {
-                return Err(Abort::Resource(
-                    "internal inconsistency: shared clause contradicts the base CNF".into(),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One worker's state for the length of one round: the round's
-/// activation literal, the witness taken (if any), and — on worker 0
-/// only — the run's heartbeat ticker.
+/// One round's sweep state: the round's activation literal, its query
+/// count, and the run's heartbeat ticker.
 struct Sweep<'t> {
     act: SatLit,
-    cex: Option<WorkerCex>,
     queries: u64,
-    ticker: Option<&'t mut ProgressTicker>,
+    ticker: &'t mut ProgressTicker,
 }
 
 impl Sweep<'_> {
-    /// Worker 0's heartbeat, polled between chunks and between
-    /// queries: a `progress` event with the round, the live class
-    /// count, and this worker's solver conflicts, so a single long
-    /// round still reports at the configured interval.
-    fn heartbeat(&mut self, w: &Worker, ctx: &WorkerCtx) {
-        if let Some(t) = &mut self.ticker {
-            if t.ready() {
-                event!(
-                    ctx.obs,
-                    "progress",
-                    round = ctx.round,
-                    classes = ctx.partition.num_classes(),
-                    conflicts = w.u.solver.stats().conflicts,
-                    elapsed_ms = t.elapsed_ms()
-                );
-            }
+    /// The heartbeat, polled between chunks and between queries: a
+    /// `progress` event with the round, the live class count, and the
+    /// solver's conflicts, so a single long round still reports at the
+    /// configured interval.
+    fn heartbeat(&mut self, rs: &RoundSolver, ctx: &RoundCtx) {
+        if self.ticker.ready() {
+            event!(
+                ctx.obs,
+                "progress",
+                round = ctx.round,
+                classes = ctx.partition.num_classes(),
+                conflicts = rs.u.solver.stats().conflicts,
+                elapsed_ms = self.ticker.elapsed_ms()
+            );
+        }
+    }
+
+    /// Runs one query under the round's activation literal plus `lit`;
+    /// `Ok(true)` is satisfiable. A budgeted or interrupted query ends
+    /// the sweep and is never read as `Unsat`.
+    fn query(
+        &mut self,
+        rs: &mut RoundSolver,
+        ctx: &RoundCtx,
+        lit: SatLit,
+    ) -> Result<bool, SweepEnd> {
+        self.queries += 1;
+        match query(&mut rs.u.solver, &[self.act, lit], ctx.obs) {
+            Ok(Query::Sat) => Ok(true),
+            Ok(Query::Unsat) => Ok(false),
+            Ok(Query::Budget) => Err(SweepEnd::Budget),
+            Err(a) => Err(SweepEnd::Abort(a)),
         }
     }
 }
 
-/// Runs one query under the round's activation literal plus `lit`;
-/// `Ok(true)` is satisfiable. An interrupted query ends the sweep —
-/// quietly with [`SweepEnd::Stopped`] when a sibling tripped the pool's
-/// stop token, as an abort otherwise — and is never read as `Unsat`.
-fn pool_query(
-    w: &mut Worker,
-    ctx: &WorkerCtx,
-    sw: &mut Sweep,
-    lit: SatLit,
-) -> Result<bool, SweepEnd> {
-    sw.queries += 1;
-    match query(&mut w.u.solver, &[sw.act, lit], ctx.obs) {
-        Ok(Query::Sat) => Ok(true),
-        Ok(Query::Unsat) => Ok(false),
-        Ok(Query::Budget) => Err(SweepEnd::Budget),
-        Err(a) => Err(match sibling_or_abort(a, ctx.deadline) {
-            None => SweepEnd::Stopped,
-            Some(real) => SweepEnd::Abort(real),
-        }),
-    }
-}
-
-/// Reads the witness of a satisfiable query out of the worker's model,
+/// Reads the witness of a satisfiable query out of the solver's model,
 /// keyed by the canonical `seq` of the pair it refutes, and ends the
-/// round: the pool's stop token trips, so every sibling stops at its
-/// next query, batch or chunk (see [`RoundPool`]). Returns the
-/// [`SweepEnd`] the caller ends its sweep with.
-fn take_witness(w: &Worker, ctx: &WorkerCtx, sw: &mut Sweep, seq: u64, init: bool) -> SweepEnd {
+/// round.
+fn take_witness(rs: &RoundSolver, ctx: &RoundCtx, seq: u64, init: bool) -> SweepEnd {
     ctx.obs.add(Counter::WorkerCexes, 1);
+    let u = &rs.u;
     let kind = if init {
         CexKind::Init {
-            xi: w.u.read_inputs(&w.u.xi_in),
+            xi: u.read_inputs(&u.xi_in),
         }
     } else {
         CexKind::TwoFrame {
-            s: w.u.read_inputs(&w.u.s_in),
-            xt: w.u.read_inputs(&w.u.x0_in),
-            xt1: w.u.read_inputs(&w.u.x1_in),
+            s: u.read_inputs(&u.s_in),
+            xt: u.read_inputs(&u.x0_in),
+            xt1: u.read_inputs(&u.x1_in),
         }
     };
-    sw.cex = Some(WorkerCex { seq, kind });
-    ctx.pool.stop.cancel();
-    SweepEnd::Stopped
+    SweepEnd::Witness(Witness { seq, kind })
 }
 
 /// Sweeps one chunk pair by pair: the condition-2 query, then the
 /// condition-1 query of a pair condition 2 proved. The first
 /// satisfiable query ends the sweep with its witness.
 fn pair_chunk_sweep(
-    w: &mut Worker,
-    ctx: &WorkerCtx,
+    rs: &mut RoundSolver,
+    ctx: &RoundCtx,
     sw: &mut Sweep,
     chunk: &[(u64, Var, Var)],
 ) -> Result<(), SweepEnd> {
     for &(seq, m, r) in chunk {
-        if ctx.pool.stop.is_cancelled() {
-            return Err(SweepEnd::Stopped);
-        }
-        sw.heartbeat(w, ctx);
+        sw.heartbeat(rs, ctx);
         for init in [false, true] {
             // Condition 1 is partition-independent (see
-            // [`Worker::init_eq`]): skip it once proven.
-            if init && w.init_eq.contains(&(m, r)) {
+            // [`RoundSolver::init_eq`]): skip it once proven.
+            if init && rs.init_eq.contains(&(m, r)) {
                 continue;
             }
-            let d = w.u.pair_diff(ctx.partition, m, r, init);
-            if pool_query(w, ctx, sw, d)? {
-                return Err(take_witness(w, ctx, sw, seq, init));
+            let d = rs.u.pair_diff(ctx.partition, m, r, init);
+            if sw.query(rs, ctx, d)? {
+                return Err(take_witness(rs, ctx, seq, init));
             }
             if init {
-                w.init_eq.insert((m, r));
+                rs.init_eq.insert((m, r));
             }
         }
     }
@@ -873,8 +730,8 @@ fn pair_chunk_sweep(
 
 /// Sweeps one chunk with the batched protocol: condition-2 sub-batches
 /// of up to [`Options::batch_pairs`] pairs, then condition 1 over the
-/// proven survivors behind [`Worker::init_eq`]. Each sub-batch gets one
-/// fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
+/// proven survivors behind [`RoundSolver::init_eq`]. Each sub-batch gets
+/// one fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
 /// pairs' cached difference literals, and `b` assumed alongside the
 /// round activation, and is solved once. **Unsat** proves all `k` pairs
 /// at once — the assumption set is the per-pair query's plus `b`, so it
@@ -883,8 +740,8 @@ fn pair_chunk_sweep(
 /// among the pairs the model separates, and ends the sweep. Each batch
 /// literal is retired with the unit `¬b`.
 fn batched_chunk_sweep(
-    w: &mut Worker,
-    ctx: &WorkerCtx,
+    rs: &mut RoundSolver,
+    ctx: &RoundCtx,
     sw: &mut Sweep,
     chunk: &[(u64, Var, Var)],
 ) -> Result<(), SweepEnd> {
@@ -894,38 +751,35 @@ fn batched_chunk_sweep(
         // the pairs condition 2 proved, minus the cross-round cache.
         let mut todo = std::mem::take(&mut live);
         if init {
-            todo.retain(|&(_, m, r)| !w.init_eq.contains(&(m, r)));
+            todo.retain(|&(_, m, r)| !rs.init_eq.contains(&(m, r)));
         }
         for batch in todo.chunks(ctx.opts.batch_pairs) {
-            if ctx.pool.stop.is_cancelled() {
-                return Err(SweepEnd::Stopped);
-            }
-            sw.heartbeat(w, ctx);
+            sw.heartbeat(rs, ctx);
             let ds: Vec<SatLit> = batch
                 .iter()
-                .map(|&(_, m, r)| w.u.pair_diff(ctx.partition, m, r, init))
+                .map(|&(_, m, r)| rs.u.pair_diff(ctx.partition, m, r, init))
                 .collect();
-            let b = w.u.solver.new_var().positive();
+            let b = rs.u.solver.new_var().positive();
             let mut clause = vec![!b];
             clause.extend_from_slice(&ds);
-            w.u.solver.add_clause(&clause);
+            rs.u.solver.add_clause(&clause);
             ctx.obs.add(Counter::BatchedCalls, 1);
-            let sat = pool_query(w, ctx, sw, b);
-            w.u.solver.add_clause(&[!b]);
+            let sat = sw.query(rs, ctx, b);
+            rs.u.solver.add_clause(&[!b]);
             if sat? {
                 let separated: Vec<u64> = batch
                     .iter()
                     .zip(&ds)
-                    .filter(|&(_, &d)| w.u.solver.model_value(d))
+                    .filter(|&(_, &d)| rs.u.solver.model_value(d))
                     .map(|(&(seq, _, _), _)| seq)
                     .collect();
                 ctx.obs
                     .add(Counter::BatchPairsDecoded, separated.len() as u64);
                 let lowest = separated.into_iter().min().unwrap_or(batch[0].0);
-                return Err(take_witness(w, ctx, sw, lowest, init));
+                return Err(take_witness(rs, ctx, lowest, init));
             }
             if init {
-                w.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
+                rs.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
             } else {
                 live.extend_from_slice(batch);
             }
@@ -934,144 +788,52 @@ fn batched_chunk_sweep(
     Ok(())
 }
 
-/// Sweeps chunks off the steal queues for one round, until the queues
-/// drain or a witness — this worker's or a sibling's — trips the pool's
-/// stop token. Clauses are exchanged at chunk boundaries when a sibling
-/// exists to import them; with [`Options::batch_pairs`] ≥ 2 each chunk
-/// runs through [`batched_chunk_sweep`], else [`pair_chunk_sweep`].
-fn worker_sweep(
-    w: &mut Worker,
-    wid: usize,
-    ctx: &WorkerCtx,
+/// Sweeps one round's pairs in scan order: the hot segment (the first
+/// `hot_len` pairs) as one chunk, then the cold tail in chunks of
+/// `chunk_pairs`. With [`Options::batch_pairs`] ≥ 2 each chunk runs
+/// through [`batched_chunk_sweep`], else [`pair_chunk_sweep`]. `Ok`
+/// means every query answered Unsat.
+fn sweep_round(
+    rs: &mut RoundSolver,
+    ctx: &RoundCtx,
     sw: &mut Sweep,
+    pairs: &[(u64, Var, Var)],
+    hot_len: usize,
+    chunk_pairs: usize,
 ) -> Result<(), SweepEnd> {
-    let share_clauses = ctx.opts.sat_share_clauses && ctx.queues.workers() > 1;
-    let mut imported_upto = 0usize;
-    let mut first_chunk = true;
-    loop {
-        sw.heartbeat(w, ctx);
-        let Some((chunk, stolen)) = ctx.queues.next_chunk(wid) else {
-            return Ok(());
-        };
-        if stolen {
-            ctx.obs.add(Counter::WorkerSteals, 1);
-            event!(
-                ctx.obs,
-                "worker.steal",
-                worker = wid,
-                round = ctx.round,
-                pairs = chunk.len()
-            );
-        }
-        if share_clauses {
-            exchange_clauses(w, wid, ctx, &mut imported_upto).map_err(SweepEnd::Abort)?;
-        }
+    let (hot, cold) = pairs.split_at(hot_len);
+    let chunks = std::iter::once(hot)
+        .filter(|c| !c.is_empty())
+        .chain(cold.chunks(chunk_pairs));
+    for chunk in chunks {
+        sw.heartbeat(rs, ctx);
         if ctx.opts.batch_pairs >= 2 {
-            batched_chunk_sweep(w, ctx, sw, &chunk)?;
+            batched_chunk_sweep(rs, ctx, sw, chunk)?;
         } else {
-            pair_chunk_sweep(w, ctx, sw, &chunk)?;
-        }
-        // Each worker's first owned chunk is its share of the hot
-        // pairs. On an oversubscribed host the OS runs one thread per
-        // scheduling quantum, so without this yield the workers
-        // scheduled first would burn whole quanta on cold pairs before
-        // a sibling holding a witness-bearing hot chunk ever runs.
-        if std::mem::take(&mut first_chunk) {
-            std::thread::yield_now();
+            pair_chunk_sweep(rs, ctx, sw, chunk)?;
         }
     }
-}
-
-/// One worker's round: retract last round's `Q`, assert this round's
-/// under a fresh activation literal, sweep the steal queues. A worker
-/// that ends the round abnormally trips the pool stop flag so its
-/// siblings cut their sweeps short.
-fn worker_round(
-    w: &mut Worker,
-    wid: usize,
-    own_pairs: usize,
-    ctx: &WorkerCtx,
-    ticker: Option<&mut ProgressTicker>,
-) -> WorkerRound {
-    // The solver polls the external deadline/token *and* the pool stop
-    // flag from its search loop.
-    w.u.solver
-        .set_limits(ctx.deadline.limits().also_token(&ctx.pool.stop));
-    if let Some(prev) = w.prev_act.take() {
-        w.u.solver.add_clause(&[!prev]);
-        // Reclaim the retracted clauses; a persistent worker would
-        // otherwise scan every past round's dead watchers on every
-        // guard propagation, a cost that grows with the round number.
-        // The compaction moves clauses, so resync the export cursor —
-        // everything in the arena right now has already been offered.
-        w.u.solver.simplify_level0();
-        w.clause_cursor = w.u.solver.export_cursor();
-    }
-    let act = w.u.solver.new_var().positive();
-    w.u.assert_q(ctx.partition, act);
-    w.prev_act = Some(act);
-    ctx.obs.add(Counter::WorkerSpawns, 1);
-    event!(
-        ctx.obs,
-        "worker.spawn",
-        worker = wid,
-        round = ctx.round,
-        pairs = own_pairs
-    );
-    let mut sw = Sweep {
-        act,
-        cex: None,
-        queries: 0,
-        ticker,
-    };
-    let out = match worker_sweep(w, wid, ctx, &mut sw) {
-        Ok(()) | Err(SweepEnd::Stopped) => WorkerRound::Done(sw.cex),
-        Err(SweepEnd::Budget) => WorkerRound::Budget,
-        Err(SweepEnd::Abort(a)) => WorkerRound::Abort(a),
-    };
-    if !matches!(out, WorkerRound::Done(_)) {
-        ctx.pool.stop.cancel();
-    }
-    event!(
-        ctx.obs,
-        "worker.drain",
-        worker = wid,
-        round = ctx.round,
-        queries = sw.queries,
-        found = u64::from(matches!(out, WorkerRound::Done(Some(_))))
-    );
-    out
+    Ok(())
 }
 
 /// Runs the greatest fixed-point iteration with the SAT engine,
 /// returning the Theorem-1 verdict (`Q_msc ⇒ λ`) at the fixed point.
 ///
-/// The one driver for every jobs count: a pool of up to `opts.jobs`
-/// workers — clamped to the seed partition's candidate-pair count, so
-/// an oversubscribed `--jobs` never constructs solvers that could never
-/// be busy — each owning a clone of the two-frame encoding (solver
-/// included). Every round, the canonical pair enumeration is rotated by
-/// a deterministic cursor, cut into chunks, and dealt round-robin onto
-/// work-stealing deques: workers pull from their own queue and steal
-/// from siblings when empty, exchange learned clauses between chunks,
-/// and stop at the round's first witness (see [`RoundPool`]). Worker 0
-/// runs on the calling thread and carries the heartbeat ticker, so
-/// `jobs = 1` spawns no thread.
+/// Every round enumerates the candidate pairs canonically — multi-member
+/// classes in ascending order, members against their representative,
+/// numbered by `seq` — and sweeps them over the one solver: the *hot*
+/// pairs first as one chunk, then the *cold* tail, rotated by a cursor
+/// that advances `n_pairs + 1` pairs per round and cut into chunks of
+/// `(n_pairs / 8).clamp(4, 64)` pairs, never narrower than a batch. The
+/// first satisfiable query ends the round; its witness is amplified
+/// with the seed [`cex_seed`] derives from the round and the pair's
+/// `seq`, and refines the partition. Every counterexample-guided split
+/// preserves "the true relation refines the current partition", so the
+/// fixed point reached is the unique coarsest one refining the seed.
 ///
-/// Workers return raw witnesses; only this driver mutates the
-/// partition, merging the witnesses in ascending `seq` order with
-/// seeds from [`cex_seed`] — and since every counterexample-guided
-/// split preserves "the true relation refines the current partition",
-/// the fixed point reached is the unique coarsest one refining the
-/// seed: the final partition and verdict are bit-identical for every
-/// jobs count, even though round trajectories differ (the full
-/// argument is in `docs/PARALLEL.md`).
-///
-/// On any worker exhausting its conflict budget the round's witnesses
-/// are discarded, the budget is dropped, and the round is redone in
-/// rebuild mode from the unchanged round-start partition —
-/// deterministic regardless of how far the sibling workers got before
-/// the stop flag reached them.
+/// When a query exhausts its conflict budget the budget is dropped and
+/// the round is redone in rebuild mode from the unchanged round-start
+/// partition.
 pub(crate) fn run_fixed_point(
     aig: &Aig,
     partition: &mut Partition,
@@ -1084,26 +846,18 @@ pub(crate) fn run_fixed_point(
     // Heartbeats only make sense with somewhere to send them; gating
     // on the handle keeps the disabled-path cost at one branch.
     let mut ticker = ProgressTicker::new(opts.progress_interval.filter(|_| obs.is_enabled()));
-    // Pairs only ever disappear as the partition refines, so the seed
-    // partition's pair count bounds every round's useful parallelism.
-    let initial_pairs: usize = partition
-        .multi_classes()
-        .map(|ci| partition.class(ci).len() - 1)
-        .sum();
-    let pool_size = opts.jobs.max(1).min(initial_pairs.max(1));
-    // Encode once, clone per worker. Workers are created on first use;
-    // the last one incremental mode will ever need takes the base
-    // encoding itself, while rebuild mode keeps it to re-clone from.
+    // Encode once. Incremental mode's solver takes the base encoding
+    // itself; rebuild mode keeps it to re-clone from every round.
     let mut base = Some(Unrolling::build(aig, struct_eqs));
     let mut rebuild = !opts.sat_incremental;
     let mut budget = opts.sat_conflict_budget.filter(|_| !rebuild);
-    let mut workers: Vec<Worker> = Vec::with_capacity(pool_size);
+    let mut solver: Option<RoundSolver> = None;
     let mut round_no = 0usize;
-    // Deterministic rotation of the sweep window: rounds stop early
-    // once they hold witnesses, so always sweeping from pair 0 would
-    // starve the tail of the enumeration. The cursor advances by about
-    // one worker-share of pairs per round, so successive rounds cover
-    // different windows and every pair is reached within ~jobs rounds.
+    // Deterministic rotation of the cold tail: rounds stop at their
+    // first witness, so always sweeping from pair 0 would starve the
+    // tail of the enumeration. The cursor advances by one full sweep
+    // plus one pair per round, so successive rounds start at different
+    // pairs.
     let mut rotate = 0u64;
     // Classes the previous round's merge created or shrank, and the
     // latches whose next-state cones those classes' members reach;
@@ -1113,7 +867,6 @@ pub(crate) fn run_fixed_point(
     let dep = DepMap::build(aig);
     let mut hot: HashSet<usize> = HashSet::new();
     let mut hot_latches = vec![0u64; dep.words];
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let result = loop {
         if let Err(e) = deadline.check() {
             break Err(e);
@@ -1124,18 +877,17 @@ pub(crate) fn run_fixed_point(
         let classes_before = partition.num_classes();
         // Canonical pair enumeration: multi-member classes in
         // ascending order, members against their representative.
-        // The global sequence number is the deterministic merge
-        // order and is assigned *before* any scan-order shuffling,
-        // so it names the same pair in every round regardless of
-        // the cursor or the hot-first split.
+        // The sequence number is assigned *before* the scan order is
+        // chosen, so it names the same pair whatever the cursor or the
+        // hot-first split, and keys the witness's amplification seed.
         //
-        // Scan order (which never affects the verdict — the merge
-        // is seq-canonical) front-loads the *hot* pairs: members of
-        // classes the previous merge touched. A refinement cascade
-        // breaks equivalences near the classes that just split, so
-        // hot pairs are where this round's witnesses concentrate —
-        // scanning them first collapses the witness-less prefix
-        // that otherwise pins every round's query count.
+        // Scan order (which never affects the fixed point) front-loads
+        // the *hot* pairs: members of classes the previous merge
+        // touched. A refinement cascade breaks equivalences near the
+        // classes that just split, so hot pairs are where this round's
+        // witness most likely sits — scanning them first collapses the
+        // witness-less prefix that otherwise pins every round's query
+        // count.
         let mut pairs: Vec<(u64, Var, Var)> = Vec::new();
         let mut cold: Vec<(u64, Var, Var)> = Vec::new();
         let mut seq = 0u64;
@@ -1157,172 +909,88 @@ pub(crate) fn run_fixed_point(
             }
         }
         let n_pairs = pairs.len() + cold.len();
-        // Per-round clamp: never more workers than pairs, and never
-        // more than a worker's share of the *requested* parallelism
-        // amortizes on an oversubscribed host (see [`SPAWN_AMORTIZE`]).
-        let requested = pool_size.min(n_pairs.max(1));
-        let share = (n_pairs as u64 / requested as u64).max(MIN_ROUND_QUERIES);
-        let amortized = (SPAWN_AMORTIZE * share / n_pairs.max(1) as u64).max(1) as usize;
-        let spawned = requested.min(hw.max(amortized));
-        // The cold tail still rotates: rounds stop early once they
-        // hold witnesses, so a fixed cold order would starve the
+        // The cold tail rotates: a fixed cold order would starve the
         // tail of the enumeration whenever the hot set runs dry.
         if !cold.is_empty() {
             let offset = (rotate % cold.len() as u64) as usize;
             cold.rotate_left(offset);
-            rotate = rotate.wrapping_add((n_pairs / spawned) as u64 + 1);
+            rotate = rotate.wrapping_add(n_pairs as u64 + 1);
         }
         let hot_len = pairs.len();
         pairs.append(&mut cold);
-        let chunk_pairs = if opts.sat_chunk_pairs > 0 {
-            opts.sat_chunk_pairs
-        } else {
-            // ~8 chunks per worker: enough granularity for stealing
-            // to rebalance, few enough exchanges to stay cheap — but
-            // never narrower than a batch, or a lone worker would pay
-            // one underfull batched call per chunk.
-            (n_pairs / (spawned * 8)).clamp(4, 64).max(opts.batch_pairs)
+        // Never narrower than a batch, or the sweep would pay one
+        // underfull batched call per chunk.
+        let chunk_pairs = (n_pairs / 8).clamp(4, 64).max(opts.batch_pairs);
+        // A fresh solver on the first round and, in rebuild mode, on
+        // every round.
+        if rebuild || solver.is_none() {
+            let u = if rebuild { base.clone() } else { base.take() }
+                .expect("the base encoding outlives every solver it seeds");
+            let fresh = RoundSolver::new(u, budget, obs);
+            match &mut solver {
+                Some(rs) => rs.replace_solver(fresh),
+                None => solver = Some(fresh),
+            }
+        }
+        let rs = solver.as_mut().expect("a solver was just brought up");
+        let act = rs.start_round(partition, deadline);
+        let mut sw = Sweep {
+            act,
+            queries: 0,
+            ticker: &mut ticker,
         };
-        let mut chunks_of: Vec<Vec<Vec<(u64, Var, Var)>>> = vec![Vec::new(); spawned];
-        let mut own_pairs = vec![0usize; spawned];
-        // The hot segment is dealt evenly, one chunk per worker, so
-        // every worker's first pops are hot pairs — otherwise the
-        // workers whose round-robin share is all-cold would spend
-        // the round's early queries where no witness is expected. A
-        // lone worker gets the whole hot segment as one chunk.
-        let (hotp, coldp) = pairs.split_at(hot_len);
-        let mut ci = 0usize;
-        for c in hotp.chunks(hot_len.div_ceil(spawned).max(1)) {
-            own_pairs[ci % spawned] += c.len();
-            chunks_of[ci % spawned].push(c.to_vec());
-            ci += 1;
-        }
-        for c in coldp.chunks(chunk_pairs) {
-            own_pairs[ci % spawned] += c.len();
-            chunks_of[ci % spawned].push(c.to_vec());
-            ci += 1;
-        }
-        // Bring up this round's workers: a fresh solver for each new
-        // worker and, in rebuild mode, for every worker every round.
-        for wid in 0..spawned {
-            if wid < workers.len() && !rebuild {
+        let ctx = RoundCtx {
+            partition,
+            opts,
+            round: round_no,
+            obs,
+        };
+        let end = sweep_round(rs, &ctx, &mut sw, &pairs, hot_len, chunk_pairs);
+        let queries = sw.queries;
+        let c = match end {
+            Err(SweepEnd::Witness(c)) => c,
+            Err(SweepEnd::Abort(a)) => {
+                close_round(obs, &mut sp, partition, classes_before, queries);
+                break Err(a);
+            }
+            certified_or_budget => {
+                close_round(obs, &mut sp, partition, classes_before, queries);
+                drop(sp);
+                if certified_or_budget.is_ok() {
+                    // No witness: every query answered Unsat — a full
+                    // certified sweep, so the partition is the fixed
+                    // point. The round's `Q` is still active for the
+                    // Theorem-1 output check.
+                    match check_outputs(&mut rs.u, partition, act, output_pairs, obs) {
+                        Err(e) => break Err(e),
+                        Ok(Some(ok)) => break Ok(ok),
+                        Ok(None) => {}
+                    }
+                }
+                // A query exhausted the conflict budget: drop the
+                // budget and redo the round in rebuild mode from the
+                // round-start partition (this round merged nothing).
+                event!(obs, "sat.fallback", reason = "conflict budget exhausted");
+                budget = None;
+                rebuild = true;
+                if base.is_none() {
+                    base = Some(Unrolling::build(aig, struct_eqs));
+                }
                 continue;
             }
-            let u = if !rebuild && wid + 1 == pool_size {
-                base.take()
-            } else {
-                base.clone()
-            }
-            .expect("the base encoding outlives every worker it seeds");
-            let fresh = Worker::new(u, budget, obs);
-            match workers.get_mut(wid) {
-                Some(w) => w.replace_solver(fresh),
-                None => workers.push(fresh),
-            }
-        }
-        let pool = RoundPool::new();
-        let outcomes: Vec<WorkerRound> = {
-            let queues = StealQueues::new(chunks_of, &pool.stop);
-            let ctx = WorkerCtx {
-                partition,
-                opts,
-                deadline,
-                queues: &queues,
-                pool: &pool,
-                round: round_no,
-                obs,
-            };
-            let (first, rest) = workers[..spawned]
-                .split_first_mut()
-                .expect("every round runs at least one worker");
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rest
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, w)| {
-                        let ctx = &ctx;
-                        let own = own_pairs[i + 1];
-                        s.spawn(move || worker_round(w, i + 1, own, ctx, None))
-                    })
-                    .collect();
-                let mut outs = vec![worker_round(
-                    first,
-                    0,
-                    own_pairs[0],
-                    &ctx,
-                    Some(&mut ticker),
-                )];
-                outs.extend(
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("pool worker panicked")),
-                );
-                outs
-            })
         };
-        let mut abort: Option<Abort> = None;
-        let mut budget_hit = false;
-        let mut cexes: Vec<WorkerCex> = Vec::new();
-        for out in outcomes {
-            match out {
-                WorkerRound::Abort(a) => abort = Some(abort.unwrap_or(a)),
-                WorkerRound::Budget => budget_hit = true,
-                WorkerRound::Done(c) => cexes.extend(c),
+        // Merge. The witness satisfies the asserted round-start `Q`
+        // and violates its pair's equality, so it must refine.
+        let changed = match &c.kind {
+            CexKind::TwoFrame { s, xt, xt1 } => {
+                let seed = cex_seed(opts.seed, round_no, c.seq, false);
+                split_by_two_frame_cex(aig, partition, opts, seed, s, xt, xt1, struct_eqs, obs)
             }
-        }
-        if let Some(a) = abort {
-            close_round(obs, &mut sp, partition, classes_before);
-            break Err(a);
-        }
-        if budget_hit || cexes.is_empty() {
-            close_round(obs, &mut sp, partition, classes_before);
-            drop(sp);
-            if !budget_hit {
-                // Zero witnesses means the stop token never tripped:
-                // every chunk was delivered and every query answered
-                // Unsat — a full certified sweep, so the partition is
-                // the fixed point. Worker 0's round `Q` is
-                // still active for the Theorem-1 output check.
-                let act = workers[0].prev_act.expect("worker 0 runs every round");
-                match check_outputs(&mut workers[0].u, partition, act, output_pairs, obs) {
-                    Err(e) => break Err(e),
-                    Ok(Some(ok)) => break Ok(ok),
-                    Ok(None) => {}
-                }
+            CexKind::Init { xi } => {
+                let seed = cex_seed(opts.seed, round_no, c.seq, true);
+                split_by_init_cex(aig, partition, opts, seed, xi, obs)
             }
-            // A query exhausted the conflict budget: drop the budget
-            // and redo the round in rebuild mode from the round-start
-            // partition (this round merged nothing).
-            event!(obs, "sat.fallback", reason = "conflict budget exhausted");
-            budget = None;
-            rebuild = true;
-            if base.is_none() {
-                base = Some(Unrolling::build(aig, struct_eqs));
-            }
-            continue;
-        }
-        // Merge: refine by every witness in canonical order — one at
-        // `jobs = 1`, one per worker that answered Sat before it saw
-        // the stop token otherwise — each with the seed its pair's
-        // query would use regardless of which worker ran it. A later
-        // witness may legitimately split nothing (an earlier one may
-        // already have separated its pair), but the lowest-`seq`
-        // witness satisfies the asserted round-start `Q` and violates
-        // its pair's equality, so the round as a whole must refine.
-        cexes.sort_by_key(|c| c.seq);
-        let mut changed = false;
-        for c in &cexes {
-            changed |= match &c.kind {
-                CexKind::TwoFrame { s, xt, xt1 } => {
-                    let seed = cex_seed(opts.seed, round_no, c.seq, false);
-                    split_by_two_frame_cex(aig, partition, opts, seed, s, xt, xt1, struct_eqs, obs)
-                }
-                CexKind::Init { xi } => {
-                    let seed = cex_seed(opts.seed, round_no, c.seq, true);
-                    split_by_init_cex(aig, partition, opts, seed, xi, obs)
-                }
-            };
-        }
+        };
         // Re-derive the hot sets from what this merge did: every
         // class it created, plus every surviving class it shrank,
         // and the latches those classes' members influence.
@@ -1339,19 +1007,18 @@ pub(crate) fn run_fixed_point(
                 dep.mark_hot(v, &mut hot_latches);
             }
         }
-        close_round(obs, &mut sp, partition, classes_before);
+        close_round(obs, &mut sp, partition, classes_before, queries);
         drop(sp);
         if !changed {
             break Err(Abort::Resource(
-                "internal inconsistency: pool counterexamples did not split".into(),
+                "internal inconsistency: the round's witness did not split".into(),
             ));
         }
     };
-    // Flush every worker's solver totals — conflicts, decisions,
-    // propagations, polls — exactly once, abort or not; the recorder
-    // merges the per-thread `sat_call_us` histograms itself.
-    for w in &mut workers {
-        w.meter.flush(&w.u.solver);
+    // Flush the solver's totals — conflicts, decisions, propagations,
+    // polls — exactly once, abort or not.
+    if let Some(rs) = &mut solver {
+        rs.meter.flush(&rs.u.solver);
     }
     result
 }

@@ -8,8 +8,8 @@
 //! current partition", and a run only terminates at a certified
 //! no-split sweep, so the partition reached is the unique coarsest
 //! inductive one refining the seed. These tests pin that down: every
-//! knob combination, at one worker and at four, must land on the exact
-//! partition and verdict the pipeline-off configuration computes.
+//! knob combination must land on the exact partition and verdict the
+//! pipeline-off configuration computes.
 
 use sec_core::{correspondence_partition, Checker, Options, OptionsBuilder, Partition, Verdict};
 use sec_gen::{counter, mixed, CounterKind};
@@ -56,11 +56,10 @@ fn knob_grid() -> Vec<(bool, usize)> {
     grid
 }
 
-fn opts_with(strash: bool, batch: usize, jobs: usize) -> Options {
+fn opts_with(strash: bool, batch: usize) -> Options {
     OptionsBuilder::sat()
         .strash(strash)
         .batch_pairs(batch)
-        .jobs(jobs)
         .build()
 }
 
@@ -68,19 +67,17 @@ fn opts_with(strash: bool, batch: usize, jobs: usize) -> Options {
 fn pipeline_knobs_never_change_the_fixed_point() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
         let pm = ProductMachine::build(&spec, &imp).unwrap().aig;
-        // Reference: everything off, one worker.
-        let reference = correspondence_partition(&pm, &opts_with(false, 0, 1)).unwrap();
+        // Reference: everything off.
+        let reference = correspondence_partition(&pm, &opts_with(false, 0)).unwrap();
         let want = fingerprint(&pm, &reference);
         for (strash, batch) in knob_grid() {
-            for jobs in [1usize, 4] {
-                let got = correspondence_partition(&pm, &opts_with(strash, batch, jobs)).unwrap();
-                assert_eq!(
-                    fingerprint(&pm, &got),
-                    want,
-                    "pair {i}: strash={strash} batch={batch} jobs={jobs} \
-                     diverged from the pipeline-off fixed point"
-                );
-            }
+            let got = correspondence_partition(&pm, &opts_with(strash, batch)).unwrap();
+            assert_eq!(
+                fingerprint(&pm, &got),
+                want,
+                "pair {i}: strash={strash} batch={batch} \
+                 diverged from the pipeline-off fixed point"
+            );
         }
     }
 }
@@ -88,28 +85,26 @@ fn pipeline_knobs_never_change_the_fixed_point() {
 #[test]
 fn pipeline_knobs_never_change_verdict_or_partition_summary() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
-        let baseline = Checker::new(&spec, &imp, opts_with(false, 0, 1))
+        let baseline = Checker::new(&spec, &imp, opts_with(false, 0))
             .unwrap()
             .run();
         assert_eq!(baseline.verdict, Verdict::Equivalent, "pair {i}");
         for (strash, batch) in knob_grid() {
-            for jobs in [1usize, 4] {
-                let r = Checker::new(&spec, &imp, opts_with(strash, batch, jobs))
-                    .unwrap()
-                    .run();
-                assert_eq!(
-                    r.verdict, baseline.verdict,
-                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
-                );
-                assert_eq!(
-                    r.stats.classes, baseline.stats.classes,
-                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
-                );
-                assert_eq!(
-                    r.stats.eqs_percent, baseline.stats.eqs_percent,
-                    "pair {i}: strash={strash} batch={batch} jobs={jobs}"
-                );
-            }
+            let r = Checker::new(&spec, &imp, opts_with(strash, batch))
+                .unwrap()
+                .run();
+            assert_eq!(
+                r.verdict, baseline.verdict,
+                "pair {i}: strash={strash} batch={batch}"
+            );
+            assert_eq!(
+                r.stats.classes, baseline.stats.classes,
+                "pair {i}: strash={strash} batch={batch}"
+            );
+            assert_eq!(
+                r.stats.eqs_percent, baseline.stats.eqs_percent,
+                "pair {i}: strash={strash} batch={batch}"
+            );
         }
     }
 }
@@ -122,10 +117,10 @@ fn full_pipeline_cuts_solver_calls_on_a_shared_structure_pair() {
     // 10x bound, this test keeps a coarser floor in the tier-1 suite.
     let spec = mixed(14, 5);
     let imp = unshare_latch_cones(&spec, 0.9, 4);
-    let off = Checker::new(&spec, &imp, opts_with(false, 0, 1))
+    let off = Checker::new(&spec, &imp, opts_with(false, 0))
         .unwrap()
         .run();
-    let on = Checker::new(&spec, &imp, opts_with(true, 32, 1))
+    let on = Checker::new(&spec, &imp, opts_with(true, 32))
         .unwrap()
         .run();
     assert_eq!(on.verdict, off.verdict);

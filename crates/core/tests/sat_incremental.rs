@@ -10,6 +10,9 @@
 //! including under counterexample amplification and under a conflict
 //! budget that forces the incremental mode to fall back mid-run.
 //!
+//! Every refinement round ends at its first witness, so a run merges
+//! exactly one witness per round that refines the partition.
+//!
 //! Cancellation must surface as `Unknown`: an interrupted SAT query is
 //! never read as "unsatisfiable", so a cancelled run can never certify
 //! a bogus fixed point.
@@ -18,7 +21,9 @@ use sec_core::{correspondence_partition, Checker, Options, OptionsBuilder, Parti
 use sec_gen::{counter, mixed, CounterKind};
 use sec_limits::CancellationToken;
 use sec_netlist::{Aig, ProductMachine, Var};
+use sec_obs::{Counter, Obs, Recorder};
 use sec_synth::{forward_retime, unshare_latch_cones, RetimeOptions};
+use std::sync::Arc;
 
 /// Order-independent identity of a partition: canonical classes plus
 /// the polarity normalization of every node.
@@ -27,13 +32,17 @@ fn fingerprint(aig: &Aig, p: &Partition) -> (Vec<Vec<Var>>, Vec<bool>) {
     (p.canonical_classes(), phases)
 }
 
-/// Product machines of equivalent pairs with real sequential
-/// redundancy, small enough for the BDD backend to finish instantly.
-fn product_machines() -> Vec<Aig> {
-    let mut pms = Vec::new();
-    for (a, b) in [
+/// Equivalent pairs with real sequential redundancy, small enough for
+/// the BDD backend to finish quickly.
+fn pairs() -> Vec<(Aig, Aig)> {
+    vec![
         {
             let spec = counter(5, CounterKind::Binary);
+            let imp = forward_retime(&spec, &RetimeOptions::default(), 1);
+            (spec, imp)
+        },
+        {
+            let spec = counter(6, CounterKind::Binary);
             let imp = forward_retime(&spec, &RetimeOptions::default(), 1);
             (spec, imp)
         },
@@ -43,13 +52,23 @@ fn product_machines() -> Vec<Aig> {
             (spec, imp)
         },
         {
+            let spec = mixed(14, 5);
+            let imp = unshare_latch_cones(&spec, 0.9, 4);
+            (spec, imp)
+        },
+        {
             let spec = counter(4, CounterKind::Gray);
             (spec.clone(), spec)
         },
-    ] {
-        pms.push(ProductMachine::build(&a, &b).unwrap().aig);
-    }
-    pms
+    ]
+}
+
+/// The product machines of [`pairs`].
+fn product_machines() -> Vec<Aig> {
+    pairs()
+        .iter()
+        .map(|(a, b)| ProductMachine::build(a, b).unwrap().aig)
+        .collect()
 }
 
 #[test]
@@ -71,19 +90,6 @@ fn all_sat_variants_match_the_bdd_fixed_point() {
             // must still reach the same fixed point.
             "incremental, tiny conflict budget",
             OptionsBuilder::sat().sat_conflict_budget(Some(1)).build(),
-        ),
-        (
-            // The same fallback when the budget trips in one of four
-            // workers while its siblings are mid-sweep.
-            "incremental, tiny conflict budget, 4 workers",
-            OptionsBuilder::sat()
-                .jobs(4)
-                .sat_conflict_budget(Some(1))
-                .build(),
-        ),
-        (
-            "monolithic, 4 workers",
-            OptionsBuilder::sat_monolithic().jobs(4).build(),
         ),
     ];
     for (i, aig) in product_machines().into_iter().enumerate() {
@@ -126,6 +132,37 @@ fn incremental_builds_one_solver_monolithic_one_per_round() {
         "rebuild mode builds one solver per refinement round"
     );
     assert!(inc.stats.sat_solver_calls > 0);
+}
+
+#[test]
+fn every_refinement_round_merges_one_witness() {
+    // One solver for the whole fixed point, and a round ends at its
+    // first witness: every refinement round merges exactly one witness
+    // and the certifying last round none.
+    for (i, (spec, imp)) in pairs().into_iter().enumerate() {
+        let recorder = Recorder::new();
+        let r = Checker::new(
+            &spec,
+            &imp,
+            OptionsBuilder::sat()
+                // One fixed point, no BMC solver: every construction
+                // counted below belongs to the fixed point.
+                .retime_rounds(0)
+                .bmc_depth(0)
+                .obs(Obs::multi(vec![Arc::new(recorder.clone())]))
+                .build(),
+        )
+        .unwrap()
+        .run();
+        assert_eq!(r.verdict, Verdict::Equivalent, "pair {i}");
+        assert!(r.stats.iterations > 0, "pair {i}");
+        assert_eq!(r.stats.sat_solver_constructions, 1, "pair {i}");
+        assert_eq!(
+            recorder.counter(Counter::WorkerCexes),
+            r.stats.iterations as u64 - 1,
+            "pair {i}: one witness per refinement round"
+        );
+    }
 }
 
 #[test]

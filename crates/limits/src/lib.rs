@@ -145,12 +145,6 @@ pub const POLL_STRIDE: u32 = 1024;
 #[derive(Clone, Debug, Default)]
 pub struct Limits {
     token: Option<CancellationToken>,
-    /// A second token checked alongside the primary one. The sharded
-    /// fixed-point rounds use it as a worker-pool stop flag layered on
-    /// top of the run's external token: either flag interrupts the
-    /// solver, and the worker disambiguates afterwards by consulting
-    /// the external limits alone.
-    extra_token: Option<CancellationToken>,
     deadline: Option<Instant>,
     /// Calls remaining until the next wall-clock read.
     countdown: u32,
@@ -165,7 +159,6 @@ impl Limits {
     pub const fn none() -> Self {
         Limits {
             token: None,
-            extra_token: None,
             deadline: None,
             countdown: POLL_STRIDE,
             polls: 0,
@@ -186,18 +179,6 @@ impl Limits {
         self
     }
 
-    /// Layers a second cancellation token on top of whatever is already
-    /// attached: a trip of *either* token reports [`Stop::Cancelled`].
-    /// Used by the sharded refinement rounds to stop sibling workers
-    /// without cancelling the whole run.
-    pub fn also_token(mut self, token: &CancellationToken) -> Self {
-        match self.token {
-            None => self.token = Some(token.clone()),
-            Some(_) => self.extra_token = Some(token.clone()),
-        }
-        self
-    }
-
     /// Adds a deadline `budget` from now. A `None` budget leaves the
     /// limits unchanged (no deadline).
     pub fn with_timeout(self, budget: Option<Duration>) -> Self {
@@ -209,13 +190,12 @@ impl Limits {
 
     /// Whether neither a token nor a deadline is attached.
     pub fn is_unlimited(&self) -> bool {
-        self.token.is_none() && self.extra_token.is_none() && self.deadline.is_none()
+        self.token.is_none() && self.deadline.is_none()
     }
 
     #[inline]
     fn token_tripped(&self) -> bool {
         self.token.as_ref().is_some_and(|t| t.is_cancelled())
-            || self.extra_token.as_ref().is_some_and(|t| t.is_cancelled())
     }
 
     /// The cheap hot-loop poll: token every call, clock every
@@ -265,108 +245,34 @@ impl Limits {
     }
 }
 
-/// Per-worker chunk queues with sibling stealing and integrated,
-/// chunk-granular cancellation.
-///
-/// The sharded fixed-point rounds in `sec-core` split each round's
-/// candidate pairs into chunks and hand every worker its own queue.
-/// A worker pops from the *front* of its own queue and, when that runs
-/// dry, steals from the *back* of the first non-empty sibling queue —
-/// so no worker idles while a sibling still holds work, and the two
-/// ends never contend on the same chunk.
-///
-/// Cancellation is observed at chunk granularity: once the attached
-/// [`CancellationToken`] trips, [`StealQueues::next_chunk`] returns
-/// `None` for every worker — a worker that was about to steal stops
-/// instead, and undelivered chunks are simply abandoned (sound for the
-/// fixed point: a skipped pair is re-enumerated next round).
-///
-/// # Examples
-///
-/// ```
-/// use sec_limits::{CancellationToken, StealQueues};
-///
-/// let stop = CancellationToken::new();
-/// let q = StealQueues::new(vec![vec![vec![1, 2], vec![3]], vec![]], &stop);
-/// // Worker 1 owns nothing: it steals worker 0's back chunk.
-/// assert_eq!(q.next_chunk(1), Some((vec![3], true)));
-/// assert_eq!(q.next_chunk(0), Some((vec![1, 2], false)));
-/// stop.cancel();
-/// assert_eq!(q.next_chunk(0), None);
-/// ```
-#[derive(Debug)]
-pub struct StealQueues<T> {
-    queues: Vec<std::sync::Mutex<std::collections::VecDeque<Vec<T>>>>,
-    stop: CancellationToken,
-}
-
-impl<T> StealQueues<T> {
-    /// Builds the queues from one chunk list per worker (outer index =
-    /// worker id) and attaches the round's stop token.
-    pub fn new(chunks_per_worker: Vec<Vec<Vec<T>>>, stop: &CancellationToken) -> StealQueues<T> {
-        StealQueues {
-            queues: chunks_per_worker
-                .into_iter()
-                .map(|chunks| std::sync::Mutex::new(chunks.into_iter().collect()))
-                .collect(),
-            stop: stop.clone(),
-        }
-    }
-
-    /// Number of per-worker queues.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The next chunk for `worker`: the front of its own queue, else
-    /// one stolen from the back of the first non-empty sibling queue
-    /// (scanning `worker + 1, worker + 2, …` cyclically). Returns
-    /// `None` when every queue is empty *or* the stop token has
-    /// tripped; the second component reports whether the chunk was
-    /// stolen.
-    pub fn next_chunk(&self, worker: usize) -> Option<(Vec<T>, bool)> {
-        let n = self.queues.len();
-        for k in 0..n {
-            if self.stop.is_cancelled() {
-                return None;
-            }
-            let wid = (worker + k) % n;
-            let mut q = self.queues[wid].lock().expect("steal queue poisoned");
-            let chunk = if k == 0 { q.pop_front() } else { q.pop_back() };
-            if let Some(chunk) = chunk {
-                return Some((chunk, k != 0));
-            }
-        }
-        None
-    }
-}
-
-/// Sanity-clamps a requested worker count against the machine.
+/// Sanity-clamps a requested worker count (`sec serve --workers`)
+/// against the machine.
 ///
 /// Returns the count to actually use plus a warning message when the
 /// request was clamped. Worker counts beyond 4× the available
 /// parallelism only add scheduling overhead and memory, so they are
-/// treated as typos (`--jobs 4000` for `--jobs 4`) rather than obeyed.
-/// Zero is *not* handled here — callers must reject it as a usage
-/// error before calling, because "no workers" is a request that can
-/// never be satisfied rather than one to round to something sensible.
+/// treated as typos (`--workers 4000` for `--workers 4`) rather than
+/// obeyed. Zero is *not* handled here — callers must reject it as a
+/// usage error before calling, because "no workers" is a request that
+/// can never be satisfied rather than one to round to something
+/// sensible.
 ///
 /// # Examples
 ///
 /// ```
-/// let (jobs, warning) = sec_limits::effective_jobs(2);
-/// assert_eq!(jobs, 2);
+/// let (workers, warning) = sec_limits::effective_workers(2);
+/// assert_eq!(workers, 2);
 /// assert!(warning.is_none());
 /// ```
-pub fn effective_jobs(requested: usize) -> (usize, Option<String>) {
-    assert!(requested >= 1, "reject --jobs 0 before calling");
+pub fn effective_workers(requested: usize) -> (usize, Option<String>) {
+    assert!(requested >= 1, "reject --workers 0 before calling");
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let cap = available.saturating_mul(4);
     if requested > cap {
         let warning = format!(
-            "warning: --jobs {requested} exceeds 4x available parallelism \
+            "warning: --workers {requested} exceeds 4x available parallelism \
              ({available}); clamping to {cap}"
         );
         (cap, Some(warning))
@@ -444,13 +350,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn effective_jobs_clamps_only_absurd_requests() {
-        let (jobs, warning) = effective_jobs(1);
-        assert_eq!(jobs, 1);
+    fn effective_workers_clamps_only_absurd_requests() {
+        let (workers, warning) = effective_workers(1);
+        assert_eq!(workers, 1);
         assert!(warning.is_none());
-        let (jobs, warning) = effective_jobs(1_000_000);
-        assert!(jobs < 1_000_000);
-        assert!(warning.unwrap().contains("clamping"));
+        let (workers, warning) = effective_workers(1_000_000);
+        assert!(workers < 1_000_000);
+        let warning = warning.unwrap();
+        assert!(warning.contains("clamping"), "{warning}");
+        assert!(warning.contains("--workers"), "{warning}");
     }
 
     #[test]
@@ -496,28 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn either_layered_token_cancels() {
-        let outer = CancellationToken::new();
-        let inner = CancellationToken::new();
-        // Layered on top of an existing token: either flag trips.
-        let mut l = Limits::with_token(&outer).also_token(&inner);
-        assert!(!l.is_unlimited());
-        assert_eq!(l.check(), Ok(()));
-        inner.cancel();
-        assert_eq!(l.check(), Err(Stop::Cancelled));
-        assert_eq!(l.check_now(), Err(Stop::Cancelled));
-        let mut l2 = Limits::with_token(&outer).also_token(&CancellationToken::new());
-        outer.cancel();
-        assert_eq!(l2.check(), Err(Stop::Cancelled));
-        // Layered onto empty limits: fills the primary slot.
-        let solo = CancellationToken::new();
-        let mut l3 = Limits::none().also_token(&solo);
-        assert_eq!(l3.check(), Ok(()));
-        solo.cancel();
-        assert_eq!(l3.check_now(), Err(Stop::Cancelled));
-    }
-
-    #[test]
     fn cancellation_precedes_timeout() {
         let token = CancellationToken::new();
         token.cancel();
@@ -554,60 +440,5 @@ mod tests {
     fn stop_reasons() {
         assert_eq!(Stop::Cancelled.to_string(), "cancelled");
         assert_eq!(Stop::Timeout.to_string(), "timeout");
-    }
-
-    #[test]
-    fn steal_queues_deliver_every_chunk_exactly_once() {
-        let stop = CancellationToken::new();
-        let chunks: Vec<Vec<Vec<u32>>> = vec![
-            vec![vec![0], vec![1], vec![2]],
-            vec![vec![3]],
-            vec![], // worker 2 owns nothing: it must live off stealing
-        ];
-        let q = StealQueues::new(chunks, &stop);
-        assert_eq!(q.workers(), 3);
-        let mut seen: Vec<u32> = Vec::new();
-        let mut stolen = 0usize;
-        // Drain round-robin so stealing actually happens.
-        loop {
-            let mut any = false;
-            for w in 0..3 {
-                if let Some((chunk, was_stolen)) = q.next_chunk(w) {
-                    seen.extend(chunk);
-                    stolen += usize::from(was_stolen);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        seen.sort();
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert!(stolen >= 1, "the workless worker must have stolen");
-    }
-
-    #[test]
-    fn steal_queues_own_pops_front_steals_take_back() {
-        let stop = CancellationToken::new();
-        let q = StealQueues::new(vec![vec![vec![1], vec![2], vec![3]], vec![]], &stop);
-        // The owner sweeps in order; the thief takes from the far end,
-        // so they never contend on the same chunk.
-        assert_eq!(q.next_chunk(1), Some((vec![3], true)));
-        assert_eq!(q.next_chunk(0), Some((vec![1], false)));
-        assert_eq!(q.next_chunk(0), Some((vec![2], false)));
-        assert_eq!(q.next_chunk(0), None);
-    }
-
-    #[test]
-    fn steal_queues_observe_cancellation_mid_steal() {
-        let stop = CancellationToken::new();
-        let q = StealQueues::new(vec![vec![vec![1], vec![2]], vec![]], &stop);
-        assert!(q.next_chunk(0).is_some());
-        stop.cancel();
-        // Both an owner pop and a would-be steal stop immediately,
-        // abandoning the undelivered chunk.
-        assert_eq!(q.next_chunk(0), None);
-        assert_eq!(q.next_chunk(1), None);
     }
 }

@@ -413,13 +413,27 @@ fn write_delta(out: &mut Vec<u8>, mut value: u32) {
     }
 }
 
+/// The most inputs a binary AIGER header may declare.
+///
+/// Binary inputs are implicit — no byte of the file stands for one — so
+/// unlike the latch, output and AND counts, the input count `I` is not
+/// bounded by the file length. Without a ceiling a 32-byte header could
+/// demand a literal table of billions of entries and abort the process
+/// on allocation, which no caller (a daemon least of all) can recover
+/// from. Loading a header-only file at the ceiling peaks at about
+/// 83 MB; real benchmark circuits stay orders of magnitude below it.
+pub const MAX_BINARY_AIGER_INPUTS: u32 = 1 << 20;
+
 /// Parses a **binary** AIGER (`aig`) file — the format real benchmark
 /// distributions use. Supports the latch-initialization extension and
 /// the `i`/`l`/`o` symbol table.
 ///
 /// # Errors
 ///
-/// Returns [`ParseAigerBinError`] on malformed headers or delta codes.
+/// Returns [`ParseAigerBinError`] on malformed headers or delta codes,
+/// on a header declaring more than [`MAX_BINARY_AIGER_INPUTS`] inputs,
+/// and on an AND whose first delta is zero (AIGER requires
+/// `lhs > rhs0 ≥ rhs1`).
 pub fn parse_aiger_binary(data: &[u8]) -> Result<Aig, ParseAigerBinError> {
     let err = |offset: usize, message: String| ParseAigerBinError { offset, message };
     // Header line is ASCII.
@@ -446,6 +460,12 @@ pub fn parse_aiger_binary(data: &[u8]) -> Result<Aig, ParseAigerBinError> {
     let sum = u64::from(ni) + u64::from(nl) + u64::from(na);
     if u64::from(m) != sum {
         return Err(err(0, format!("M = {m} but I+L+A = {sum}")));
+    }
+    if ni > MAX_BINARY_AIGER_INPUTS {
+        return Err(err(
+            0,
+            format!("I = {ni} exceeds the input ceiling of {MAX_BINARY_AIGER_INPUTS}"),
+        ));
     }
     let mut pos = hdr_end + 1;
     // Inputs are implicit, but every latch and output line holds a
@@ -527,7 +547,12 @@ pub fn parse_aiger_binary(data: &[u8]) -> Result<Aig, ParseAigerBinError> {
     // AND gates: delta-coded, lhs implicit.
     for k in 0..na {
         let lhs = 2 * (ni + nl + k + 1);
+        let at = pos;
         let d0 = read_delta(data, &mut pos)?;
+        if d0 == 0 {
+            // `rhs0 == lhs` would make the gate its own fanin.
+            return Err(err(at, format!("AND {lhs} has a zero delta0")));
+        }
         let d1 = read_delta(data, &mut pos)?;
         let rhs0 = lhs
             .checked_sub(d0)

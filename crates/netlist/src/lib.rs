@@ -49,7 +49,7 @@ mod strash;
 pub use aig::{Aig, Node, Output};
 pub use aiger::{
     parse_aiger, parse_aiger_binary, write_aiger, write_aiger_binary, ParseAigerBinError,
-    ParseAigerError,
+    ParseAigerError, MAX_BINARY_AIGER_INPUTS,
 };
 pub use analysis::{check, stats, AigStats, CheckError};
 pub use bench_format::{parse_bench, write_bench, ParseBenchError};

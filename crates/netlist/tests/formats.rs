@@ -6,7 +6,7 @@
 
 use sec_netlist::{
     load_model, load_model_bytes, parse_bench, structural_fingerprint, write_aiger,
-    write_aiger_binary, write_bench, Aig,
+    write_aiger_binary, write_bench, Aig, ParseError, MAX_BINARY_AIGER_INPUTS,
 };
 
 fn smoke_bench_text() -> String {
@@ -96,6 +96,29 @@ fn oversized_aiger_headers_are_parse_errors() {
     // The bound is tight: two one-digit lines, the last without a
     // newline, in the 3 bytes after the header.
     assert!(load_model_bytes("tight.aag", b"aag 1 1 0 1 0\n2\n2").is_ok());
+}
+
+#[test]
+fn hostile_binary_aiger_files_are_parse_errors() {
+    // The AND's first delta is 0, so `rhs0 == lhs`: the gate would be
+    // its own fanin (AIGER requires `lhs > rhs0 >= rhs1`).
+    let zero_delta = b"aig 3 2 0 1 1\n6\n\x00\x02";
+    assert_eq!(zero_delta.len(), 18);
+    // Inputs are implicit, so no file length bounds `I`.
+    let input_flood = b"aig 4000000000 4000000000 0 0 0\n";
+    assert_eq!(input_flood.len(), 32);
+    let over_ceiling = format!("aig {0} {0} 0 0 0\n", MAX_BINARY_AIGER_INPUTS + 1);
+    for (name, bytes) in [
+        ("zero_delta.aig", &zero_delta[..]),
+        ("input_flood.aig", &input_flood[..]),
+        ("over_ceiling.aig", over_ceiling.as_bytes()),
+    ] {
+        let err = load_model_bytes(name, bytes).unwrap_err();
+        assert!(matches!(err, ParseError::AigerBin(_)), "{name}: {err}");
+    }
+    // The same gate with a nonzero delta0 is a valid AND of the inputs.
+    let ok = load_model_bytes("ok.aig", b"aig 3 2 0 1 1\n6\n\x02\x02").unwrap();
+    assert_eq!((ok.num_inputs(), ok.num_ands()), (2, 1));
 }
 
 #[test]

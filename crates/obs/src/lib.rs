@@ -186,9 +186,8 @@ counters! {
         SatPropagations => "sat_propagations",
         /// SAT restarts.
         SatRestarts => "sat_restarts",
-        /// SAT solvers constructed (one per pool worker per fixed
-        /// point in incremental mode, one per worker per round in
-        /// rebuild mode).
+        /// SAT solvers constructed (one per fixed point in incremental
+        /// mode, one per round in rebuild mode, plus one per BMC run).
         SatSolverConstructions => "sat_solver_constructions",
         /// Individual SAT solve calls.
         SatSolverCalls => "sat_solver_calls",
@@ -210,21 +209,10 @@ counters! {
         BmcFrames => "bmc_frames",
         /// Symbolic-traversal image steps.
         TraversalImageSteps => "traversal_image_steps",
-        /// Workers run in SAT refinement rounds: one per worker per
-        /// round, so a one-worker pool counts one per round.
-        WorkerSpawns => "worker_spawns",
-        /// Counterexamples returned by shard workers to the merging
-        /// driver (before deterministic re-validation against the live
-        /// partition).
+        /// Witnesses of SAT refinement rounds: a round ends at its
+        /// first satisfiable query, so this is one per round that
+        /// refined the partition.
         WorkerCexes => "worker_cexes",
-        /// Chunks a sharded worker stole from a sibling's queue after
-        /// draining its own (one `worker.steal` event apiece).
-        WorkerSteals => "worker_steals",
-        /// Short learned clauses over the shared two-frame unrolling
-        /// variables published into the sharded round's exchange pool
-        /// (each import into a sibling solver re-counts nothing: this
-        /// counts publications, not copies).
-        ClausesShared => "clauses_shared",
         /// Candidate signals collapsed onto a structural-bisimulation
         /// representative before the fixed point started
         /// (`Options::strash`); they rejoin their representative's

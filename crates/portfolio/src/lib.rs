@@ -117,10 +117,6 @@ pub struct PortfolioOptions {
     pub engine_timeout: Option<Duration>,
     /// RNG seed forwarded to the correspondence engines.
     pub seed: u64,
-    /// Workers of the SAT correspondence engine's refinement pool
-    /// (forwarded to [`sec_core::Options::jobs`]); `1` is a one-worker
-    /// pool that spawns no thread beyond the engine's own.
-    pub jobs: usize,
     /// Frame bound of the BMC engine.
     pub bmc_depth: usize,
     /// BDD node budget of the correspondence engines.
@@ -152,7 +148,6 @@ impl Default for PortfolioOptions {
             timeout: Some(Duration::from_secs(600)),
             engine_timeout: None,
             seed: 0xEC98,
-            jobs: 1,
             bmc_depth: 64,
             node_limit: 16 << 20,
             traversal_node_limit: 4 << 20,
@@ -231,8 +226,8 @@ pub struct EngineReport {
     pub peak_bdd_nodes: usize,
     /// SAT conflicts.
     pub sat_conflicts: u64,
-    /// SAT solvers constructed (one per pool worker per fixed point in
-    /// incremental mode, one per worker per round in rebuild mode).
+    /// SAT solvers constructed (one per fixed point in incremental
+    /// mode, one per round in rebuild mode).
     pub sat_solver_constructions: u64,
     /// Individual SAT solve calls.
     pub sat_solver_calls: u64,
@@ -583,7 +578,6 @@ fn run_engine(
                     Backend::Sat
                 })
                 .seed(opts.seed)
-                .jobs(opts.jobs)
                 .node_limit(opts.node_limit)
                 .timeout(budget)
                 // Refutation belongs to the dedicated BMC engine, so a

@@ -22,10 +22,6 @@ struct Clause {
     learnt: bool,
     lbd: u32,
     deleted: bool,
-    /// Arrived via [`Solver::import_shared_clause`]. Never re-exported:
-    /// a clause bouncing export → import → export between sibling
-    /// solvers would otherwise duplicate itself without bound.
-    imported: bool,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -54,10 +50,9 @@ pub struct SatStats {
 /// `Solver` is `Clone`: cloning snapshots the entire solver state —
 /// clause database (including learnt clauses), variable activities,
 /// saved phases and statistics — so a formula can be encoded once and
-/// fanned out to several independent solvers. The sharded
-/// correspondence rounds in `sec-core` clone one encoded two-frame
-/// unrolling per worker; each clone then evolves (learns, asserts
-/// round guards) on its own thread without any locking.
+/// restarted from many times. The correspondence backend in `sec-core`
+/// does this in its rebuild mode: it clones the encoded two-frame
+/// unrolling at every round start, so nothing learnt outlives a round.
 ///
 /// # Examples
 ///
@@ -327,7 +322,6 @@ impl Solver {
             learnt,
             lbd,
             deleted: false,
-            imported: false,
         });
         if learnt {
             self.learnt_refs.push(cref);
@@ -581,7 +575,7 @@ impl Solver {
         }
         // The arena is append-only between reductions, so dead slots
         // accumulate. Once they are the majority, compact: a long-lived
-        // incremental solver (the sharded backend keeps one per worker
+        // incremental solver (the correspondence backend keeps one
         // across every round) must stay bounded by its *live* clauses.
         let dead_slots = dead.iter().filter(|&&d| d).count();
         if dead_slots * 2 > self.clauses.len() {
@@ -826,124 +820,6 @@ impl Solver {
     pub fn model_value(&self, l: SatLit) -> bool {
         self.model[l.var().index()] ^ l.is_negative()
     }
-
-    /// The current clause-arena position, for resynchronizing an
-    /// export cursor after [`Solver::simplify_level0`] compacted the
-    /// arena (a stale cursor would silently skip clauses learnt after
-    /// the compaction until the arena regrows past it).
-    pub fn export_cursor(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Exports learnt clauses suitable for sharing with a sibling
-    /// solver over the same base formula: every clause learnt since the
-    /// last export whose literals all lie below `max_var` and whose
-    /// length is at most `max_lits`, plus every level-0 implied literal
-    /// below `max_var` (as a unit clause). Clauses that *arrived* via
-    /// [`Solver::import_shared_clause`] are never exported again — in a
-    /// pool of exchanging siblings a re-export would bounce every
-    /// clause back and forth, duplicating it without bound.
-    ///
-    /// `max_var` is the sharing contract: a solver that extended a
-    /// common base encoding with *private* auxiliary variables (guards,
-    /// activation literals, cached difference literals) may only export
-    /// clauses confined to the shared prefix. Such a clause is implied
-    /// by the base formula alone — every auxiliary clause in this
-    /// workspace is satisfiable by assigning its auxiliary variables
-    /// false regardless of the base assignment (guards and activation
-    /// literals only ever appear as `¬aux ∨ …` implications), so the
-    /// auxiliary clauses form a conservative extension and contribute
-    /// no new consequences over the base variables.
-    ///
-    /// The two cursors make the export incremental: pass the same pair
-    /// on every call and each clause/unit is returned exactly once.
-    /// Cursors index this solver's internal clause arena and trail, so
-    /// they must not be shared between solvers (clones included).
-    pub fn export_learnts(
-        &self,
-        max_var: usize,
-        max_lits: usize,
-        clause_cursor: &mut usize,
-        trail_cursor: &mut usize,
-    ) -> Vec<Vec<SatLit>> {
-        debug_assert_eq!(self.decision_level(), 0, "export between solves only");
-        let mut out = Vec::new();
-        let end = self.clauses.len();
-        // An arena compaction may have shrunk the clause store below
-        // the cursor; resynchronize at the end. A few fresh learnts can
-        // be skipped that way — sharing stays sound either way, since
-        // every live learnt clause passing the filters is exportable.
-        let start = (*clause_cursor).min(end);
-        for c in &self.clauses[start..end] {
-            if c.learnt
-                && !c.deleted
-                && !c.imported
-                && c.lits.len() <= max_lits
-                && c.lits.iter().all(|l| l.var().index() < max_var)
-            {
-                out.push(c.lits.clone());
-            }
-        }
-        *clause_cursor = end;
-        // At decision level 0 the whole trail is implied units.
-        let tend = self.trail.len();
-        for &l in &self.trail[*trail_cursor..tend] {
-            if l.var().index() < max_var {
-                out.push(vec![l]);
-            }
-        }
-        *trail_cursor = tend;
-        out
-    }
-
-    /// Imports a clause shared by a sibling solver, attaching it as a
-    /// *learnt* clause so database reduction may drop it again if it
-    /// never helps. The clause must be valid for this solver's formula
-    /// (see [`Solver::export_learnts`] for the sharing contract).
-    /// Returns `false` if the solver is already unsatisfiable.
-    pub fn import_shared_clause(&mut self, lits: &[SatLit]) -> bool {
-        assert_eq!(self.decision_level(), 0, "import between solves only");
-        if !self.ok {
-            return false;
-        }
-        // Normalize exactly like add_clause, but attach multi-literal
-        // survivors to the learnt database.
-        let mut ls: Vec<SatLit> = lits.to_vec();
-        ls.sort();
-        ls.dedup();
-        let mut out: Vec<SatLit> = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return true; // tautology
-            }
-            match self.value_lit(l) {
-                Value::True => return true, // already satisfied at level 0
-                Value::False => {}
-                Value::Undef => out.push(l),
-            }
-        }
-        match out.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(out[0], CREF_NONE);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
-            }
-            n => {
-                // Length as the LBD proxy: short imports survive
-                // reduction (length-2 clauses are always kept), long
-                // ones compete with native learnts.
-                let cref = self.attach_new(out, true, n as u32);
-                self.clauses[cref as usize].imported = true;
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1182,80 +1058,6 @@ mod tests {
         a.add_clause(&[!v[2]]);
         assert_eq!(a.solve(), SatResult::Unsat);
         assert_eq!(b.solve(), SatResult::Sat);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j indexes across two rows
-    fn export_learnts_is_incremental_and_bounded() {
-        // A pigeonhole instance forces real learnt clauses.
-        let mut s = Solver::new();
-        let n = 6;
-        let p: Vec<Vec<SatLit>> = (0..n)
-            .map(|_| (0..n - 1).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for j in 0..n - 1usize {
-            for a in 0..n {
-                for b in a + 1..n {
-                    s.add_clause(&[!p[a][j], !p[b][j]]);
-                }
-            }
-        }
-        let num_base = s.num_vars();
-        assert_eq!(s.solve(), SatResult::Unsat);
-        let (mut cc, mut tc) = (0, 0);
-        let exported = s.export_learnts(num_base, 8, &mut cc, &mut tc);
-        assert!(!exported.is_empty(), "UNSAT search must have learnt");
-        for cl in &exported {
-            assert!(cl.len() <= 8);
-            assert!(cl.iter().all(|l| l.var().index() < num_base));
-        }
-        // Incremental: a second export with the same cursors is empty.
-        assert!(s.export_learnts(num_base, 8, &mut cc, &mut tc).is_empty());
-        // A var bound below the formula excludes everything.
-        let (mut cc2, mut tc2) = (0, 0);
-        assert!(s.export_learnts(0, 8, &mut cc2, &mut tc2).is_empty());
-    }
-
-    #[test]
-    fn import_shared_clause_prunes_sibling_search() {
-        // Clone a base, learn in one solver, import into the other:
-        // the import must be accepted and must not change answers.
-        let mut base = Solver::new();
-        let v = lits(&mut base, 4);
-        base.add_clause(&[v[0], v[1]]);
-        base.add_clause(&[!v[0], v[2]]);
-        base.add_clause(&[!v[1], v[2]]);
-        let num_base = base.num_vars();
-        let mut a = base.clone();
-        let mut b = base;
-        assert_eq!(a.solve_with_assumptions(&[!v[2]]), SatResult::Unsat);
-        let (mut cc, mut tc) = (0, 0);
-        let shared = a.export_learnts(num_base, 8, &mut cc, &mut tc);
-        for cl in &shared {
-            assert!(b.import_shared_clause(cl));
-        }
-        // Imported clauses never bounce back out of the importer (that
-        // would duplicate them across a pool without bound).
-        let (mut bc, mut bt) = (0, 0);
-        for cl in b.export_learnts(num_base, 8, &mut bc, &mut bt) {
-            assert!(
-                cl.len() == 1 || !shared.contains(&cl),
-                "imported clause re-exported: {cl:?}"
-            );
-        }
-        // The sibling still answers identically on both polarities.
-        assert_eq!(b.solve_with_assumptions(&[!v[2]]), SatResult::Unsat);
-        assert_eq!(b.solve_with_assumptions(&[v[2]]), SatResult::Sat);
-        // Importing a unit propagates immediately.
-        assert!(b.import_shared_clause(&[v[3]]));
-        assert_eq!(b.solve(), SatResult::Sat);
-        assert!(b.model_value(v[3]));
-        // Importing a tautology or satisfied clause is a no-op success.
-        assert!(b.import_shared_clause(&[v[0], !v[0]]));
-        assert!(b.import_shared_clause(&[v[3], v[1]]));
     }
 
     #[test]

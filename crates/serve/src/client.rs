@@ -106,9 +106,6 @@ pub fn check_line(req: &CheckRequest) -> String {
     if let Some(budget) = req.conflict_budget {
         out.push_str(&format!(",\"conflict_budget\":{budget}"));
     }
-    if req.jobs != 1 {
-        out.push_str(&format!(",\"jobs\":{}", req.jobs));
-    }
     if let Some(ms) = req.heartbeat_ms {
         out.push_str(&format!(",\"heartbeat_ms\":{ms}"));
     }
@@ -154,6 +151,8 @@ mod tests {
             revalidate: true,
         };
         let line = check_line(&req);
+        // `jobs` is ignored: it never reaches the wire.
+        assert!(!line.contains("jobs"), "{line}");
         let Request::Check(back) = parse_request(&line).unwrap() else {
             panic!("not a check: {line}");
         };
@@ -162,7 +161,6 @@ mod tests {
         assert_eq!(back.engine, req.engine);
         assert_eq!(back.timeout_ms, req.timeout_ms);
         assert_eq!(back.conflict_budget, req.conflict_budget);
-        assert_eq!(back.jobs, req.jobs);
         assert_eq!(back.heartbeat_ms, req.heartbeat_ms);
         assert_eq!(back.tag, req.tag);
         assert_eq!(back.no_cache, req.no_cache);

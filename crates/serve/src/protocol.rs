@@ -63,7 +63,10 @@ pub struct CheckRequest {
     pub timeout_ms: Option<u64>,
     /// Per-job SAT conflict budget.
     pub conflict_budget: Option<u64>,
-    /// Worker threads for the SAT backend's sharded refinement.
+    /// Ignored. The SAT backend runs every check on one solver, so
+    /// there is no per-check worker count: the daemon neither reads a
+    /// `jobs` key nor sends one. The field stays so code that builds a
+    /// `CheckRequest` with a struct literal keeps compiling.
     pub jobs: usize,
     /// Heartbeat interval in milliseconds (`progress` events streamed
     /// to the client while the job runs).
@@ -146,18 +149,13 @@ fn parse_check(v: &Json) -> Result<CheckRequest, String> {
         Some(s) => Engine::parse(s)
             .ok_or_else(|| format!("unknown engine {s:?} (expected bdd, sat or portfolio)"))?,
     };
-    let jobs = match v.get("jobs").and_then(Json::as_u64) {
-        None => 1,
-        Some(0) => return Err("\"jobs\" must be at least 1".to_string()),
-        Some(n) => n as usize,
-    };
     Ok(CheckRequest {
         spec,
         impl_,
         engine,
         timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
         conflict_budget: v.get("conflict_budget").and_then(Json::as_u64),
-        jobs,
+        jobs: 1,
         heartbeat_ms: v.get("heartbeat_ms").and_then(Json::as_u64),
         tag: v.get("tag").and_then(Json::as_str).map(str::to_string),
         no_cache: v.get("no_cache").and_then(Json::as_bool).unwrap_or(false),
@@ -191,7 +189,7 @@ mod tests {
         let req = parse_request(
             "{\"cmd\":\"check\",\"spec_path\":\"a.bench\",\"impl_path\":\"b.bench\",\
              \"engine\":\"portfolio\",\"timeout_ms\":500,\"conflict_budget\":1000,\
-             \"jobs\":2,\"heartbeat_ms\":50,\"tag\":\"t1\",\"revalidate\":true}",
+             \"heartbeat_ms\":50,\"tag\":\"t1\",\"revalidate\":true}",
         )
         .unwrap();
         let Request::Check(c) = req else {
@@ -201,7 +199,6 @@ mod tests {
         assert_eq!(c.engine, Engine::Portfolio);
         assert_eq!(c.timeout_ms, Some(500));
         assert_eq!(c.conflict_budget, Some(1000));
-        assert_eq!(c.jobs, 2);
         assert_eq!(c.heartbeat_ms, Some(50));
         assert_eq!(c.tag.as_deref(), Some("t1"));
         assert!(!c.no_cache);
@@ -220,7 +217,6 @@ mod tests {
         };
         assert!(matches!(c.spec, Source::Inline(_)));
         assert_eq!(c.engine, Engine::Sat);
-        assert_eq!(c.jobs, 1);
         assert!(!c.no_cache);
     }
 
@@ -236,11 +232,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("not both"), "{err}");
-        // jobs: 0 is a usage error at the protocol layer too.
-        let err =
-            parse_request("{\"cmd\":\"check\",\"spec_path\":\"a\",\"impl_path\":\"b\",\"jobs\":0}")
-                .unwrap_err();
-        assert!(err.contains("jobs"), "{err}");
     }
 
     #[test]

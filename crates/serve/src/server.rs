@@ -198,7 +198,6 @@ struct Job {
     engine: Engine,
     timeout: Option<Duration>,
     conflict_budget: Option<u64>,
-    jobs: usize,
     heartbeat: Option<Duration>,
     no_cache: bool,
     fingerprint: Fingerprint,
@@ -992,7 +991,6 @@ fn submit(
             .map(Duration::from_millis)
             .or(state.default_timeout),
         conflict_budget: req.conflict_budget,
-        jobs: req.jobs,
         heartbeat: req.heartbeat_ms.map(Duration::from_millis),
         no_cache: req.no_cache,
         fingerprint,
@@ -1244,7 +1242,6 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
             let opts = builder
                 .timeout(job.timeout)
                 .sat_conflict_budget(job.conflict_budget)
-                .jobs(job.jobs)
                 .progress_interval(job.heartbeat)
                 .cancel(Some(job.token.clone()))
                 .obs(job_obs)
@@ -1279,7 +1276,6 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
         Engine::Portfolio => {
             let popts = PortfolioOptions {
                 timeout: job.timeout,
-                jobs: job.jobs,
                 progress_interval: job.heartbeat,
                 obs: job_obs,
                 cancel: Some(job.token.clone()),

@@ -50,8 +50,7 @@ fn usage() -> ! {
          sec check <spec> <impl> [--engine bdd|sat|portfolio] [--scope all|regs]\n           \
          [--no-sim-seed] [--no-funcdep] [--approx-reach] [--retime-rounds N]\n           \
          [--timeout SECS] [--engine-timeout SECS] [--node-limit N]\n           \
-         [--bmc-depth N] [--seed N] [--jobs N] [--chunk-pairs N]\n           \
-         [--no-share-clauses] [--no-strash]\n           \
+         [--bmc-depth N] [--seed N] [--no-strash]\n           \
          [--batch-pairs N] [--json] [--stats]\n           \
          [--trace-json FILE] [--progress[=SECS]]\n  \
          sec info <circuit>\n  \
@@ -67,7 +66,7 @@ fn usage() -> ! {
          [--cache-dir DIR] [--trace-json FILE] [--timeout SECS]\n           \
          [--metrics-addr ADDR] [--slow-ms N]\n  \
          sec client check <spec> <impl> --addr ADDR [--engine bdd|sat|portfolio]\n           \
-         [--timeout SECS] [--conflict-budget N] [--jobs N] [--heartbeat SECS]\n           \
+         [--timeout SECS] [--conflict-budget N] [--heartbeat SECS]\n           \
          [--tag NAME] [--no-cache] [--revalidate] [--inline]\n  \
          sec client batch <spec impl>... --addr ADDR [check options]\n  \
          sec client cancel <job> --addr ADDR\n  \
@@ -129,22 +128,22 @@ fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
     })
 }
 
-/// Parses a `--jobs` value. Zero (or garbage) is a usage error with a
-/// hint; absurd requests are clamped to 4x the available parallelism
-/// with a warning ([`sec::limits::effective_jobs`]).
-fn parse_jobs(value: &str) -> usize {
+/// Parses a `sec serve --workers` value. Zero (or garbage) is a usage
+/// error with a hint; absurd requests are clamped to 4x the available
+/// parallelism with a warning ([`sec::limits::effective_workers`]).
+fn parse_workers(value: &str) -> usize {
     let requested: usize = value.parse().ok().filter(|n| *n >= 1).unwrap_or_else(|| {
         eprintln!(
-            "--jobs needs a worker count of at least 1, got `{value}` \
-             (hint: pass --jobs 1 for a serial run, or omit the flag)"
+            "--workers needs a worker count of at least 1, got `{value}` \
+             (hint: pass --workers 1 for one check at a time, or omit the flag)"
         );
         exit(EXIT_USAGE)
     });
-    let (jobs, warning) = sec::limits::effective_jobs(requested);
+    let (workers, warning) = sec::limits::effective_workers(requested);
     if let Some(w) = warning {
         eprintln!("{w}");
     }
-    jobs
+    workers
 }
 
 fn json_escape(s: &str) -> String {
@@ -342,13 +341,6 @@ fn cmd_check(args: &[String]) {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--jobs" => opts.jobs = parse_jobs(take_value(args, &mut i, "--jobs")),
-            "--chunk-pairs" => {
-                opts.sat_chunk_pairs = take_value(args, &mut i, "--chunk-pairs")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--no-share-clauses" => opts.sat_share_clauses = false,
             "--no-strash" => strash_override = Some(false),
             "--batch-pairs" => {
                 batch_pairs_override = Some(
@@ -486,7 +478,6 @@ fn check_portfolio(
             opts.bmc_depth
         },
         node_limit: opts.node_limit,
-        jobs: opts.jobs,
         progress_interval: opts.progress_interval,
         obs: opts.obs.clone(),
         ..PortfolioOptions::default()
@@ -801,7 +792,7 @@ fn cmd_serve(args: &[String]) -> ! {
     while i < args.len() {
         match args[i].as_str() {
             "--listen" => opts.listen = take_value(args, &mut i, "--listen").to_string(),
-            "--workers" => opts.workers = parse_jobs(take_value(args, &mut i, "--workers")),
+            "--workers" => opts.workers = parse_workers(take_value(args, &mut i, "--workers")),
             "--queue" => {
                 opts.queue_capacity = take_value(args, &mut i, "--queue")
                     .parse()
@@ -890,7 +881,6 @@ fn client_check(batch: bool, args: &[String]) -> ! {
     let mut engine = ServeEngine::Sat;
     let mut timeout_ms = None;
     let mut conflict_budget = None;
-    let mut jobs = 1usize;
     let mut heartbeat_ms = None;
     let mut tag: Option<String> = None;
     let mut no_cache = false;
@@ -927,7 +917,6 @@ fn client_check(batch: bool, args: &[String]) -> ! {
                         .unwrap_or_else(|_| usage()),
                 )
             }
-            "--jobs" => jobs = parse_jobs(take_value(args, &mut i, "--jobs")),
             "--heartbeat" => {
                 let secs: f64 = take_value(args, &mut i, "--heartbeat")
                     .parse()
@@ -990,7 +979,7 @@ fn client_check(batch: bool, args: &[String]) -> ! {
                 engine,
                 timeout_ms,
                 conflict_budget,
-                jobs,
+                jobs: 1,
                 heartbeat_ms,
                 tag: match &tag {
                     Some(t) if batch => Some(format!("{t}.{n}")),

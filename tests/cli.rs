@@ -217,6 +217,21 @@ fn info_on_an_oversized_aiger_header_exits_three() {
 }
 
 #[test]
+fn info_on_hostile_binary_aiger_exits_three() {
+    // A zero AND delta (the gate would be its own fanin) and an input
+    // count no file length bounds: parse errors, not a panic (exit
+    // 101) or an allocation abort (exit 134).
+    for (name, text) in [
+        ("zero_delta.aig", "aig 3 2 0 1 1\n6\n\x00\x02"),
+        ("input_flood.aig", "aig 4000000000 4000000000 0 0 0\n"),
+    ] {
+        let aig = write_tmp(name, text);
+        let out = Command::new(SEC).args(["info"]).arg(&aig).output().unwrap();
+        assert_eq!(out.status.code(), Some(3), "{name}: {out:?}");
+    }
+}
+
+#[test]
 fn dot_emits_graphviz() {
     let spec = write_tmp("spec_dot.bench", TOGGLE);
     let out = Command::new(SEC).args(["dot"]).arg(&spec).output().unwrap();
@@ -248,32 +263,33 @@ fn bad_usage_exits_above_two() {
 
 #[test]
 fn check_jobs_zero_is_a_usage_error_with_hint() {
-    let spec = write_tmp("spec_jobs0.bench", TOGGLE);
+    // `sec serve --workers 0` is a usage error whose message and hint
+    // name the flag the user actually passed.
     let out = Command::new(SEC)
-        .args(["check"])
-        .arg(&spec)
-        .arg(&spec)
-        .args(["--jobs", "0"])
+        .args(["serve", "--workers", "0"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--jobs"), "{err}");
+    assert!(err.contains("--workers"), "{err}");
     assert!(err.contains("hint"), "{err}");
+    assert!(!err.contains("--jobs"), "{err}");
 }
 
 #[test]
 fn check_jobs_absurd_is_clamped_with_warning() {
-    let spec = write_tmp("spec_jobsbig.bench", TOGGLE);
+    // An absurd `sec serve --workers` is clamped with a warning naming
+    // `--workers`. The listen address is already taken, so the daemon
+    // exits right after parsing its flags.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
     let out = Command::new(SEC)
-        .args(["check"])
-        .arg(&spec)
-        .arg(&spec)
-        .args(["--engine", "sat", "--jobs", "1000000"])
+        .args(["serve", "--workers", "1000000", "--listen", &addr])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{out:?}");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("clamping"), "{err}");
-    assert!(err.contains("1000000"), "{err}");
+    assert!(err.contains("--workers 1000000"), "{err}");
+    assert!(!err.contains("--jobs"), "{err}");
 }

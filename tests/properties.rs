@@ -7,7 +7,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sec::gen::random_aig;
-use sec::netlist::{check, parse_aiger, parse_bench, write_aiger, write_bench};
+use sec::netlist::{
+    check, load_model_bytes, parse_aiger, parse_bench, write_aiger, write_aiger_binary,
+    write_bench, Aig,
+};
 use sec::sim::{first_output_mismatch, Trace};
 use sec::synth;
 
@@ -213,6 +216,55 @@ fn combinational_sweep_agrees_with_exhaustive() {
                     assert!(differs, "case {case}: witness must be real");
                 }
             }
+        }
+    }
+}
+
+/// Applies one random corruption to a circuit file: truncation, a bit
+/// flip, an inserted digit, a deleted byte, or two swapped bytes.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    if bytes.is_empty() {
+        bytes.push(b'0');
+        return;
+    }
+    let at = rng.gen_range(0..bytes.len());
+    match rng.gen_range(0..5u32) {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+        2 => bytes.insert(at, b'0' + rng.gen_range(0..10u32) as u8),
+        3 => {
+            bytes.remove(at);
+        }
+        _ => {
+            let other = rng.gen_range(0..bytes.len());
+            bytes.swap(at, other);
+        }
+    }
+}
+
+/// Serializes a circuit in one of the loadable formats.
+type Writer = fn(&Aig) -> Vec<u8>;
+
+#[test]
+fn load_model_bytes_never_panics_on_mutated_files() {
+    // Hostile input must come back as `Err`, never as a panic: `sec
+    // serve` parses inline payloads in-process. Every format's writer
+    // output for a random small circuit, corrupted one to three times.
+    let writers: [(&str, Writer); 3] = [
+        ("m.bench", |aig| write_bench(aig).into_bytes()),
+        ("m.aag", |aig| write_aiger(aig).into_bytes()),
+        ("m.aig", write_aiger_binary),
+    ];
+    for (name, write) in writers {
+        for case in 0..3000u64 {
+            let mut rng = StdRng::seed_from_u64(0xC14C_9000 ^ case);
+            let (i, l, g, seed) = arb_shape(&mut rng);
+            let mut bytes = write(&random_aig(i, l, g, seed));
+            for _ in 0..rng.gen_range(1..4u32) {
+                mutate(&mut bytes, &mut rng);
+            }
+            let outcome = std::panic::catch_unwind(|| load_model_bytes(name, &bytes));
+            assert!(outcome.is_ok(), "{name}: case {case} panicked on {bytes:?}");
         }
     }
 }

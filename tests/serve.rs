@@ -587,6 +587,23 @@ fn non_utf8_request_line_is_an_error_not_a_disconnect() {
 }
 
 #[test]
+fn hostile_inline_aiger_is_an_error_and_the_connection_survives() {
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    let mut c = daemon.client();
+    // A binary AIGER whose AND has a zero delta0, which would make the
+    // gate its own fanin: an error reply, not a dead connection.
+    let zero_delta = "aig 3 2 0 1 1\n6\n\u{0}\u{2}";
+    let events = run_check(&mut c, &check_req(zero_delta, TOGGLE));
+    let last = events.last().unwrap();
+    assert_eq!(last.ev, "serve.error", "{:?}", last.fields);
+    // The same connection keeps serving.
+    c.send_line("{\"cmd\":\"health\"}").unwrap();
+    next_named(&mut c, "serve.health");
+    drop(c);
+    assert!(daemon.shutdown_and_wait().success());
+}
+
+#[test]
 fn request_tracing_spans_cover_every_phase() {
     let mut daemon = Daemon::start(&["--workers", "1"]);
     let mut c = daemon.client();
