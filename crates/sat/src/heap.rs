@@ -1,15 +1,25 @@
 //! A max-heap over variables ordered by VSIDS activity.
 
-/// Binary max-heap with a position index, keyed by an external activity
-/// array (passed into every operation so the heap holds no float state).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct VarHeap {
-    heap: Vec<u32>,
-    /// position of var in `heap`, or `usize::MAX` if absent
-    pos: Vec<usize>,
+/// One heap slot: a variable and its activity, stored side by side so a
+/// sift compares keys without chasing into the activity array.
+#[derive(Copy, Clone, Debug)]
+struct Entry {
+    act: f64,
+    var: u32,
 }
 
-const ABSENT: usize = usize::MAX;
+/// Binary max-heap with a position index. Each entry carries its
+/// variable's activity; the solver refreshes the stored key whenever it
+/// changes an activity ([`VarHeap::update`], [`VarHeap::refresh`]), so
+/// every comparison reads the same value the activity array holds.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VarHeap {
+    heap: Vec<Entry>,
+    /// position of var in `heap`, or `ABSENT`
+    pos: Vec<u32>,
+}
+
+const ABSENT: u32 = u32::MAX;
 
 impl VarHeap {
     pub(crate) fn new() -> VarHeap {
@@ -26,70 +36,84 @@ impl VarHeap {
         self.pos[v as usize] != ABSENT
     }
 
-    pub(crate) fn insert(&mut self, v: u32, act: &[f64]) {
+    pub(crate) fn insert(&mut self, v: u32, act: f64) {
         if self.contains(v) {
             return;
         }
-        self.pos[v as usize] = self.heap.len();
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1, act);
+        let hole = self.heap.len();
+        self.heap.push(Entry { act, var: v });
+        self.sift_up(hole, Entry { act, var: v });
     }
 
-    pub(crate) fn pop_max(&mut self, act: &[f64]) -> Option<u32> {
-        let top = *self.heap.first()?;
+    pub(crate) fn pop_max(&mut self) -> Option<u32> {
+        let top = self.heap.first()?.var;
         let last = self.heap.pop().unwrap();
         self.pos[top as usize] = ABSENT;
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0, act);
+            self.sift_down(0, last);
         }
         Some(top)
     }
 
-    /// Restores heap order after `v`'s activity increased.
-    pub(crate) fn update(&mut self, v: u32, act: &[f64]) {
-        if let Some(&p) = self.pos.get(v as usize) {
-            if p != ABSENT {
-                self.sift_up(p, act);
-            }
+    /// Sets `v`'s key to its increased activity `act` and restores heap
+    /// order.
+    pub(crate) fn update(&mut self, v: u32, act: f64) {
+        let p = self.pos[v as usize];
+        if p != ABSENT {
+            self.sift_up(p as usize, Entry { act, var: v });
         }
     }
 
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+    /// Re-reads every stored key from `act`, after the solver rescaled
+    /// all activities. A uniform rescale keeps the heap order.
+    pub(crate) fn refresh(&mut self, act: &[f64]) {
+        for e in &mut self.heap {
+            e.act = act[e.var as usize];
+        }
+    }
+
+    /// Moves the hole at `i` towards the root until `x` fits, then
+    /// places `x` there.
+    fn sift_up(&mut self, mut i: usize, x: Entry) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if act[self.heap[i] as usize] <= act[self.heap[parent] as usize] {
+            if x.act <= self.heap[parent].act {
                 break;
             }
-            self.swap(i, parent);
+            self.place(i, self.heap[parent]);
             i = parent;
         }
+        self.place(i, x);
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+    /// Moves the hole at `i` towards the leaves, promoting the larger
+    /// child while it beats `x` (the left one on a tie), then places `x`.
+    fn sift_down(&mut self, mut i: usize, x: Entry) {
+        let n = self.heap.len();
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
+            let r = l + 1;
             let mut best = i;
-            if l < self.heap.len() && act[self.heap[l] as usize] > act[self.heap[best] as usize] {
+            let mut best_act = x.act;
+            if l < n && self.heap[l].act > best_act {
                 best = l;
+                best_act = self.heap[l].act;
             }
-            if r < self.heap.len() && act[self.heap[r] as usize] > act[self.heap[best] as usize] {
+            if r < n && self.heap[r].act > best_act {
                 best = r;
             }
             if best == i {
                 break;
             }
-            self.swap(i, best);
+            self.place(i, self.heap[best]);
             i = best;
         }
+        self.place(i, x);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a;
-        self.pos[self.heap[b] as usize] = b;
+    fn place(&mut self, i: usize, e: Entry) {
+        self.heap[i] = e;
+        self.pos[e.var as usize] = i as u32;
     }
 }
 
@@ -99,40 +123,56 @@ mod tests {
 
     #[test]
     fn pops_in_activity_order() {
-        let act = vec![0.5, 3.0, 1.0, 2.0];
+        let act = [0.5, 3.0, 1.0, 2.0];
         let mut h = VarHeap::new();
         h.grow(4);
         for v in 0..4 {
-            h.insert(v, &act);
+            h.insert(v, act[v as usize]);
         }
-        assert_eq!(h.pop_max(&act), Some(1));
-        assert_eq!(h.pop_max(&act), Some(3));
-        assert_eq!(h.pop_max(&act), Some(2));
-        assert_eq!(h.pop_max(&act), Some(0));
-        assert_eq!(h.pop_max(&act), None);
+        assert_eq!(h.pop_max(), Some(1));
+        assert_eq!(h.pop_max(), Some(3));
+        assert_eq!(h.pop_max(), Some(2));
+        assert_eq!(h.pop_max(), Some(0));
+        assert_eq!(h.pop_max(), None);
     }
 
     #[test]
     fn update_reorders() {
+        let mut h = VarHeap::new();
+        h.grow(3);
+        for v in 0..3 {
+            h.insert(v, f64::from(v + 1));
+        }
+        h.update(0, 10.0);
+        assert_eq!(h.pop_max(), Some(0));
+    }
+
+    #[test]
+    fn refresh_rereads_keys() {
         let mut act = vec![1.0, 2.0, 3.0];
         let mut h = VarHeap::new();
         h.grow(3);
         for v in 0..3 {
-            h.insert(v, &act);
+            h.insert(v, act[v as usize]);
         }
-        act[0] = 10.0;
-        h.update(0, &act);
-        assert_eq!(h.pop_max(&act), Some(0));
+        for a in &mut act {
+            *a *= 1e-100;
+        }
+        h.refresh(&act);
+        act[0] = 1.0;
+        h.update(0, act[0]);
+        assert_eq!(h.pop_max(), Some(0));
+        assert_eq!(h.pop_max(), Some(2));
+        assert_eq!(h.pop_max(), Some(1));
     }
 
     #[test]
     fn insert_is_idempotent() {
-        let act = vec![1.0];
         let mut h = VarHeap::new();
         h.grow(1);
-        h.insert(0, &act);
-        h.insert(0, &act);
-        assert_eq!(h.pop_max(&act), Some(0));
-        assert_eq!(h.pop_max(&act), None);
+        h.insert(0, 1.0);
+        h.insert(0, 1.0);
+        assert_eq!(h.pop_max(), Some(0));
+        assert_eq!(h.pop_max(), None);
     }
 }

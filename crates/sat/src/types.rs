@@ -1,4 +1,4 @@
-//! Variables, literals and truth values of the SAT solver.
+//! Variables, literals and solve results of the SAT solver.
 
 use std::fmt;
 use std::ops::Not;
@@ -106,34 +106,6 @@ pub enum SatResult {
     Interrupted,
 }
 
-/// Three-valued assignment.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) enum Value {
-    True,
-    False,
-    Undef,
-}
-
-impl Value {
-    #[inline]
-    pub(crate) fn from_bool(b: bool) -> Value {
-        if b {
-            Value::True
-        } else {
-            Value::False
-        }
-    }
-
-    #[inline]
-    pub(crate) fn negate_if(self, c: bool) -> Value {
-        match (self, c) {
-            (Value::True, true) => Value::False,
-            (Value::False, true) => Value::True,
-            (v, _) => v,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,12 +120,5 @@ mod tests {
         assert_eq!(v.lit(false), v.negative());
         assert_eq!(v.positive().var(), v);
         assert!(v.negative().is_negative());
-    }
-
-    #[test]
-    fn value_negate() {
-        assert_eq!(Value::True.negate_if(true), Value::False);
-        assert_eq!(Value::Undef.negate_if(true), Value::Undef);
-        assert_eq!(Value::False.negate_if(false), Value::False);
     }
 }
