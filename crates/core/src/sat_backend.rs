@@ -52,7 +52,11 @@
 //! 64-wide [`sec_sim`] pass, and every pattern whose frame-0 values
 //! satisfy the *current* `Q` refines the partition
 //! ([`Partition::refine_by_words`]), so one solver call can split
-//! several classes at once instead of exactly one pair.
+//! several classes at once instead of exactly one pair. The patterns
+//! then **cascade** forward one frame at a time under fresh inputs,
+//! splitting again by every frame whose predecessor still satisfies the
+//! refined `Q`, until a frame splits nothing
+//! ([`split_by_two_frame_cex`]).
 
 use crate::context::{Abort, Deadline, SatMeter};
 use crate::options::Options;
@@ -60,7 +64,9 @@ use crate::partition::Partition;
 use sec_netlist::{Aig, Lit, Var};
 use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
-use sec_sim::{amplify_init, amplify_two_frame, eval_single, next_state_single, BitSim};
+use sec_sim::{
+    amplify_init, amplify_two_frame, eval_single, next_state_single, AmplifiedCex, BitSim,
+};
 use std::collections::{HashMap, HashSet};
 
 /// The two-frame (+ initial frame) unrolling of the product machine,
@@ -298,13 +304,45 @@ fn struct_eq_word_mask(frame0: &BitSim, struct_eqs: &[(Var, Lit)], w: usize) -> 
     valid
 }
 
+/// Refines the partition by one frame pair of an amplified witness:
+/// each pattern whose `frame0` values satisfy the *current*
+/// correspondence condition — and, in a collapsed run, the removed
+/// structural equalities — splits by its `frame1` values. Returns the
+/// number of pattern words that split something.
+fn split_by_frame_pair(
+    partition: &mut Partition,
+    amp: &AmplifiedCex,
+    struct_eqs: &[(Var, Lit)],
+) -> u64 {
+    let mut hits = 0;
+    for w in 0..amp.frame0.num_words() {
+        let mask = partition.valid_word_mask(|v| amp.frame0.var_words(v)[w])
+            & struct_eq_word_mask(&amp.frame0, struct_eqs, w);
+        if partition.refine_by_words(|v| amp.frame1.var_words(v)[w], mask) {
+            hits += 1;
+        }
+    }
+    hits
+}
+
 /// Splits the partition by a two-frame counterexample `(s, x_t,
 /// x_{t+1})`, amplified to `64 * sat_amplify_words` patterns when
-/// enabled. Only patterns whose frame-0 values satisfy the *current*
-/// correspondence condition — and, in a collapsed run, the removed
-/// structural equalities — refine the partition (the witness always
-/// does: its frame 0 satisfies the asserted `Q_{T_i}` plus the hard
-/// structural-equality clauses). Returns `true` if anything split.
+/// enabled, and returns how many frames split something: 0 means the
+/// witness split nothing. Only patterns whose frame-0 values satisfy
+/// the *current* correspondence condition refine the partition (the
+/// witness always does: its frame 0 satisfies the asserted `Q_{T_i}`
+/// plus the hard structural-equality clauses).
+///
+/// **Cascade.** Once the witness's own frame has split, every pattern
+/// steps on one frame at a time — latches take the previous frame's
+/// next-state values, inputs come fresh from the witness's seeded
+/// stream — and each frame `t + 1` splits by its patterns whose frame
+/// `t` satisfies the refined `Q`. Such a pattern `(s_t, x_t, x_{t+1})`
+/// is itself a condition-2 witness of the current partition, so the
+/// split keeps "the true relation refines the partition" and the fixed
+/// point is unchanged; it only arrives in fewer rounds. The cascade
+/// stops at the first frame that splits nothing, and every frame before
+/// it added a class, so it ends.
 #[allow(clippy::too_many_arguments)]
 fn split_by_two_frame_cex(
     aig: &Aig,
@@ -316,26 +354,28 @@ fn split_by_two_frame_cex(
     xt1: &[bool],
     struct_eqs: &[(Var, Lit)],
     obs: &Obs,
-) -> bool {
+) -> u64 {
     let words = opts.sat_amplify_words;
     if words == 0 {
         let s2 = next_state_single(aig, xt, s);
         let frame2 = eval_single(aig, xt1, &s2);
-        return partition.refine_by_values(&frame2);
+        return u64::from(partition.refine_by_values(&frame2));
     }
-    let amp = amplify_two_frame(aig, s, xt, xt1, words, seed);
+    let mut amp = amplify_two_frame(aig, s, xt, xt1, words, seed);
     obs.add(Counter::AmplifyPatterns, 64 * words as u64);
-    let mut changed = false;
-    for w in 0..words {
-        let mask = partition.valid_word_mask(|v| amp.frame0.var_words(v)[w])
-            & struct_eq_word_mask(&amp.frame0, struct_eqs, w);
-        let hit = partition.refine_by_words(|v| amp.frame1.var_words(v)[w], mask);
-        if hit {
-            obs.add(Counter::AmplifyWordHits, 1);
-        }
-        changed |= hit;
+    let hits = split_by_frame_pair(partition, &amp, struct_eqs);
+    obs.add(Counter::AmplifyWordHits, hits);
+    if hits == 0 {
+        return 0;
     }
-    changed
+    let mut frames = 1;
+    loop {
+        amp.step(aig);
+        if split_by_frame_pair(partition, &amp, struct_eqs) == 0 {
+            return frames;
+        }
+        frames += 1;
+    }
 }
 
 /// Splits the partition by an initial-frame counterexample `x_I`,
@@ -401,22 +441,24 @@ fn open_round(obs: &Obs, round: usize) -> sec_obs::Span {
     span!(obs, "round", round = round, backend = "sat")
 }
 
-/// Records a finished round's refinement outcome and query count on its
-/// span, and its splits in the `splits` counter (classes only ever
-/// split, so the class-count delta is exactly the number of new
-/// classes).
+/// Records a finished round's refinement outcome, query count and
+/// splitting frames on its span, and its splits in the `splits` counter
+/// (classes only ever split, so the class-count delta is exactly the
+/// number of new classes).
 fn close_round(
     obs: &Obs,
     sp: &mut sec_obs::Span,
     partition: &Partition,
     classes_before: usize,
     queries: u64,
+    frames: u64,
 ) {
     let splits = (partition.num_classes() - classes_before) as u64;
     obs.add(Counter::Splits, splits);
     sp.record("splits", splits);
     sp.record("classes", partition.num_classes());
     sp.record("queries", queries);
+    sp.record("frames", frames);
 }
 
 /// The deterministic per-query amplification seed of a candidate
@@ -827,9 +869,10 @@ fn sweep_round(
 /// `(n_pairs / 8).clamp(4, 64)` pairs, never narrower than a batch. The
 /// first satisfiable query ends the round; its witness is amplified
 /// with the seed [`cex_seed`] derives from the round and the pair's
-/// `seq`, and refines the partition. Every counterexample-guided split
-/// preserves "the true relation refines the current partition", so the
-/// fixed point reached is the unique coarsest one refining the seed.
+/// `seq`, refines the partition, and cascades forward while its later
+/// frames still split. Every counterexample-guided split preserves "the
+/// true relation refines the current partition", so the fixed point
+/// reached is the unique coarsest one refining the seed.
 ///
 /// When a query exhausts its conflict budget the budget is dropped and
 /// the round is redone in rebuild mode from the unchanged round-start
@@ -950,11 +993,11 @@ pub(crate) fn run_fixed_point(
         let c = match end {
             Err(SweepEnd::Witness(c)) => c,
             Err(SweepEnd::Abort(a)) => {
-                close_round(obs, &mut sp, partition, classes_before, queries);
+                close_round(obs, &mut sp, partition, classes_before, queries, 0);
                 break Err(a);
             }
             certified_or_budget => {
-                close_round(obs, &mut sp, partition, classes_before, queries);
+                close_round(obs, &mut sp, partition, classes_before, queries, 0);
                 drop(sp);
                 if certified_or_budget.is_ok() {
                     // No witness: every query answered Unsat — a full
@@ -981,14 +1024,14 @@ pub(crate) fn run_fixed_point(
         };
         // Merge. The witness satisfies the asserted round-start `Q`
         // and violates its pair's equality, so it must refine.
-        let changed = match &c.kind {
+        let frames = match &c.kind {
             CexKind::TwoFrame { s, xt, xt1 } => {
                 let seed = cex_seed(opts.seed, round_no, c.seq, false);
                 split_by_two_frame_cex(aig, partition, opts, seed, s, xt, xt1, struct_eqs, obs)
             }
             CexKind::Init { xi } => {
                 let seed = cex_seed(opts.seed, round_no, c.seq, true);
-                split_by_init_cex(aig, partition, opts, seed, xi, obs)
+                u64::from(split_by_init_cex(aig, partition, opts, seed, xi, obs))
             }
         };
         // Re-derive the hot sets from what this merge did: every
@@ -1007,9 +1050,9 @@ pub(crate) fn run_fixed_point(
                 dep.mark_hot(v, &mut hot_latches);
             }
         }
-        close_round(obs, &mut sp, partition, classes_before, queries);
+        close_round(obs, &mut sp, partition, classes_before, queries, frames);
         drop(sp);
-        if !changed {
+        if frames == 0 {
             break Err(Abort::Resource(
                 "internal inconsistency: the round's witness did not split".into(),
             ));

@@ -13,23 +13,67 @@
 //! neighbour actually satisfies `Q` must be checked by the caller
 //! (frame-0 values are exposed for exactly that), because splitting by
 //! a point violating `Q` would over-refine the partition.
+//!
+//! [`AmplifiedCex::step`] moves every pattern one more clock forward
+//! with fresh random inputs, so a caller can keep splitting by later
+//! frames whose predecessor frame still satisfies `Q`.
 
 use crate::BitSim;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sec_netlist::Aig;
 
-/// The two evaluated time frames of an amplified counterexample.
+/// Two consecutive evaluated time frames of an amplified
+/// counterexample.
 ///
-/// `frame0` holds every node's value at `(s ⊕ ε, x_t ⊕ ε)` per pattern;
-/// `frame1` holds every node's value one clock later, at the frame-0
-/// next state under inputs `x_{t+1} ⊕ ε`.
+/// Fresh from [`amplify_two_frame`], `frame0` holds every node's value
+/// at `(s ⊕ ε, x_t ⊕ ε)` per pattern and `frame1` every node's value one
+/// clock later, at the frame-0 next state under inputs `x_{t+1} ⊕ ε`.
+/// After `k` calls of [`AmplifiedCex::step`] they hold frames `k` and
+/// `k + 1` of the same patterns.
 #[derive(Clone, Debug)]
 pub struct AmplifiedCex {
-    /// Frame-0 evaluation (current state, inputs `x_t`).
+    /// The earlier frame (at first: current state, inputs `x_t`).
     pub frame0: BitSim,
-    /// Frame-1 evaluation (successor state, inputs `x_{t+1}`).
+    /// The frame after `frame0` (at first: successor state, inputs
+    /// `x_{t+1}`).
     pub frame1: BitSim,
+    /// The witness's seeded stream, continued for the inputs of every
+    /// stepped frame.
+    rng: StdRng,
+}
+
+impl AmplifiedCex {
+    /// Advances every pattern one clock: `frame1` becomes `frame0`, and
+    /// the new `frame1` starts from its next state under fresh random
+    /// inputs drawn from the witness's seeded stream. Deterministic for
+    /// the seed [`amplify_two_frame`] was given.
+    pub fn step(&mut self, aig: &Aig) {
+        std::mem::swap(&mut self.frame0, &mut self.frame1);
+        let num_words = self.frame1.num_words();
+        let mut words = vec![0u64; num_words];
+        load_successor_state(aig, &self.frame0, &mut self.frame1, &mut words);
+        for i in 0..aig.num_inputs() {
+            for w in &mut words {
+                *w = self.rng.gen();
+            }
+            self.frame1.set_input(aig, i, &words);
+        }
+        self.frame1.eval(aig);
+    }
+}
+
+/// Sets every latch of `next` to its next-state value in `frame`, the
+/// state one clock after `frame` for every pattern. `words` is scratch
+/// of one node's width.
+fn load_successor_state(aig: &Aig, frame: &BitSim, next: &mut BitSim, words: &mut [u64]) {
+    for (i, &l) in aig.latches().iter().enumerate() {
+        let lit = aig.latch_next(l).expect("driven latch");
+        for (w, word) in words.iter_mut().enumerate() {
+            *word = frame.lit_word(lit, w);
+        }
+        next.set_latch(aig, i, words);
+    }
 }
 
 /// Broadcast of one bit to a whole pattern word.
@@ -119,13 +163,7 @@ pub fn amplify_two_frame(
     frame0.eval(aig);
 
     let mut frame1 = BitSim::new(aig, num_words);
-    for (i, &l) in aig.latches().iter().enumerate() {
-        let next = aig.latch_next(l).expect("driven latch");
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = frame0.lit_word(next, w);
-        }
-        frame1.set_latch(aig, i, &words);
-    }
+    load_successor_state(aig, &frame0, &mut frame1, &mut words);
     for i in 0..ni {
         for (w, m) in words.iter_mut().zip(at(nl + ni + i)) {
             *w = fill(inputs_t1[i]) ^ m;
@@ -134,7 +172,11 @@ pub fn amplify_two_frame(
     }
     frame1.eval(aig);
 
-    AmplifiedCex { frame0, frame1 }
+    AmplifiedCex {
+        frame0,
+        frame1,
+        rng,
+    }
 }
 
 /// Evaluates the witness input vector and `64 * num_words - 1` randomly
@@ -244,11 +286,40 @@ mod tests {
     }
 
     #[test]
+    fn step_advances_every_pattern_one_clock() {
+        let aig = sample();
+        let mut amp = amplify_two_frame(&aig, &[true, false], &[false, true], &[true, true], 2, 5);
+        let frame1 = amp.frame1.clone();
+        amp.step(&aig);
+        for v in aig.vars() {
+            assert_eq!(amp.frame0.var_words(v), frame1.var_words(v), "{v:?}");
+        }
+        // Each pattern's new state is its old frame's next state, and the
+        // new frame is that state evaluated under its own inputs.
+        for p in 0..amp.frame1.num_patterns() {
+            let bits = |sim: &BitSim, vs: &[sec_netlist::Var]| -> Vec<bool> {
+                vs.iter().map(|v| sim.lit_bit(v.lit(), p)).collect()
+            };
+            let x1 = bits(&amp.frame0, aig.inputs());
+            let s1 = bits(&amp.frame0, aig.latches());
+            let x2 = bits(&amp.frame1, aig.inputs());
+            let s2 = next_state_single(&aig, &x1, &s1);
+            let f2 = eval_single(&aig, &x2, &s2);
+            for v in aig.vars() {
+                assert_eq!(amp.frame1.lit_bit(v.lit(), p), f2[v.index()], "{v:?} p{p}");
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_for_a_seed() {
         let aig = sample();
-        let a = amplify_two_frame(&aig, &[true, true], &[false, true], &[true, false], 1, 11);
-        let b = amplify_two_frame(&aig, &[true, true], &[false, true], &[true, false], 1, 11);
+        let mut a = amplify_two_frame(&aig, &[true, true], &[false, true], &[true, false], 1, 11);
+        let mut b = amplify_two_frame(&aig, &[true, true], &[false, true], &[true, false], 1, 11);
+        a.step(&aig);
+        b.step(&aig);
         for v in aig.vars() {
+            assert_eq!(a.frame0.lit_word(v.lit(), 0), b.frame0.lit_word(v.lit(), 0));
             assert_eq!(a.frame1.lit_word(v.lit(), 0), b.frame1.lit_word(v.lit(), 0));
         }
     }
