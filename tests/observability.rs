@@ -223,6 +223,32 @@ fn portfolio_trace_has_race_timeline_and_reconciles() {
 
 /// Canonical form of a partition for equality comparison: sorted member
 /// indices per class, classes sorted.
+/// The SAT solver polls its limits on every conflict and every
+/// decision, and the backend hands it fresh limits at every round
+/// start; `cancellation_polls` must still count the polls of every
+/// round, not only the last one.
+#[test]
+fn sat_cancellation_polls_cover_every_round() {
+    use sec::obs::Counter;
+    let (spec, imp) = equivalent_pair();
+    let recorder = Recorder::new();
+    let opts = OptionsBuilder::sat()
+        .obs(Obs::multi(
+            vec![Arc::new(recorder.clone()) as Arc<dyn Sink>],
+        ))
+        .build();
+    let result = Checker::new(&spec, &imp, opts).unwrap().run();
+    assert_eq!(result.verdict, Verdict::Equivalent);
+    assert!(result.stats.iterations >= 2, "needs a multi-round check");
+    let polls = recorder.counter(Counter::CancellationPolls);
+    let steps = recorder.counter(Counter::SatConflicts) + recorder.counter(Counter::SatDecisions);
+    assert!(
+        polls >= steps,
+        "{polls} polls for {steps} conflicts and decisions over {} rounds",
+        result.stats.iterations
+    );
+}
+
 fn canonical(p: &Partition) -> Vec<Vec<usize>> {
     let mut classes: Vec<Vec<usize>> = (0..p.num_classes())
         .map(|ci| {
