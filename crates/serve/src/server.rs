@@ -1070,9 +1070,8 @@ fn worker_loop(state: &Arc<State>, idx: usize, recorder: &Recorder) {
                 };
             }
         };
-        state.worker_busy[idx].store(1, Ordering::Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(state, &job, recorder)));
-        state.worker_busy[idx].store(0, Ordering::Relaxed);
+        state.worker_busy[idx].store(1, Ordering::SeqCst);
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(state, &job, idx, recorder)));
         if outcome.is_err() {
             recover_panicked_job(state, &job, idx);
         }
@@ -1118,18 +1117,28 @@ fn recover_panicked_job(state: &Arc<State>, job: &Job, worker: usize) {
             ("total_us", Value::from(total_us)),
         ],
     );
+    retire_job(state, job, worker);
     job.conn_obs.event("serve.result", &fields);
-    state.lock(&state.jobs, "jobs").remove(&job.id);
-    state.done.fetch_add(1, Ordering::SeqCst);
     log_slow(state, &job.conn_obs, &job.req, &job.id, "unknown", total_us);
 }
 
-/// Completes a job on every exit path: emits `serve.result`, retires
-/// the job handle, records the `queue`/`run`/`total` phase latencies,
-/// emits `req.done`, and applies the slow-request log.
+/// Settles a finished job's bookkeeping: its worker goes idle, the job
+/// leaves the job table, and `done` counts it. Runs before the job's
+/// `serve.result`, the line clients wait for, so a request sent after a
+/// result always sees the daemon with that job finished.
+fn retire_job(state: &State, job: &Job, worker: usize) {
+    state.worker_busy[worker].store(0, Ordering::SeqCst);
+    state.lock(&state.jobs, "jobs").remove(&job.id);
+    state.done.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Completes a job on every exit path: records the `queue`/`run`/
+/// `total` phase latencies, emits `req.done`, retires the job, emits
+/// `serve.result`, and applies the slow-request log.
 fn finish_job(
     state: &Arc<State>,
     job: &Job,
+    worker: usize,
     mut fields: Vec<(&'static str, Value)>,
     verdict: &str,
     started: Instant,
@@ -1164,14 +1173,14 @@ fn finish_job(
     );
     fields.push(("time_ms", Value::from(started.elapsed().as_millis() as u64)));
     // serve.result last: it is the line clients wait for, so every
-    // telemetry event of the request precedes it on the wire.
+    // telemetry event of the request, and the job's retirement, precede
+    // it.
+    retire_job(state, job, worker);
     job.conn_obs.event("serve.result", &fields);
-    state.lock(&state.jobs, "jobs").remove(&job.id);
-    state.done.fetch_add(1, Ordering::SeqCst);
     log_slow(state, &job.conn_obs, &job.req, &job.id, verdict, total_us);
 }
 
-fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
+fn run_job(state: &Arc<State>, job: &Job, worker: usize, recorder: &Recorder) {
     let start = Instant::now();
     let mut base = vec![
         ("req", Value::from(job.req.as_str())),
@@ -1198,7 +1207,7 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
         fields.push(("verdict", Value::from("unknown")));
         fields.push(("reason", Value::from("cancelled")));
         fields.push(("cached", Value::from(false)));
-        finish_job(state, job, fields, "unknown", start, 0);
+        finish_job(state, job, worker, fields, "unknown", start, 0);
         return;
     }
 
@@ -1264,6 +1273,7 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
                     finish_job(
                         state,
                         job,
+                        worker,
                         fields,
                         "unknown",
                         start,
@@ -1327,7 +1337,7 @@ fn run_job(state: &Arc<State>, job: &Job, recorder: &Recorder) {
         fields.push(("eqs_percent", Value::from(stats.eqs_percent)));
         fields.push(("rounds", Value::from(stats.iterations as u64)));
     }
-    finish_job(state, job, fields, label, start, run_us);
+    finish_job(state, job, worker, fields, label, start, run_us);
 }
 
 #[cfg(test)]

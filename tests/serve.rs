@@ -536,6 +536,27 @@ fn kept_open_connection_round_trips_do_not_stall() {
     assert!(daemon.shutdown_and_wait().success());
 }
 
+/// `serve.result` is the line a client waits for, so every piece of a
+/// job's bookkeeping — the worker's busy flag, the job table, the `done`
+/// count — must be settled before it goes out: a `metrics` request sent
+/// right after a result must see an idle daemon, every time.
+#[test]
+fn result_line_follows_the_workers_bookkeeping() {
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    let mut c = daemon.client();
+    let mut req = check_req(TOGGLE, TOGGLE);
+    req.no_cache = true;
+    for i in 1..=2000u64 {
+        let events = run_check(&mut c, &req);
+        assert_eq!(result_of(&events).str("verdict"), Some("equivalent"));
+        let m = metrics(&mut c);
+        assert_eq!(m.u64("worker_busy"), Some(0), "cycle {i}");
+        assert_eq!(m.u64("running"), Some(0), "cycle {i}");
+        assert_eq!(m.u64("done"), Some(i), "cycle {i}");
+    }
+    assert!(daemon.shutdown_and_wait().success());
+}
+
 #[test]
 fn overlong_request_line_is_rejected_and_the_connection_survives() {
     let mut daemon = Daemon::start(&["--workers", "1"]);
