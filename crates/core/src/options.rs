@@ -103,8 +103,10 @@ pub struct Options {
     /// satisfiable SAT query (SAT backend only): the witness plus
     /// `64*w - 1` bit-flipped neighbours are simulated in one pass and
     /// every `Q`-satisfying pattern refines the partition, so one
-    /// solver call typically splits many classes. `0` disables
-    /// amplification (single-witness splitting).
+    /// solver call typically splits many classes; the patterns then
+    /// step on frame by frame while later frames still split. `0`
+    /// disables amplification and the cascade (single-witness
+    /// splitting).
     pub sat_amplify_words: usize,
     /// Per-query conflict budget of the incremental SAT mode. When a
     /// query exhausts it, the run drops the budget and redoes the
