@@ -61,7 +61,7 @@
 use crate::context::{Abort, Deadline, SatMeter};
 use crate::options::Options;
 use crate::partition::Partition;
-use sec_netlist::{Aig, Lit, Var};
+use sec_netlist::{Aig, Lit, Node, Var};
 use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
 use sec_sim::{
@@ -558,15 +558,187 @@ impl RoundSolver {
     }
 }
 
+/// Congruence settlement: the pairs whose condition-2 query this
+/// round's `Q` answers by structure alone.
+///
+/// [`Congruence::settle`] hash-conses a scratch copy of the two frames
+/// in which
+///
+/// * **frame 0** replaces every class member by its class's first
+///   member in node order (all members are equal under `Q`, and the
+///   first keeps the substitution acyclic) and every strash-collapsed
+///   member by its structural representative (a hard equality);
+/// * **frame 1** feeds each latch the reduced frame-0 literal of its
+///   next-state function, gives each input a fresh node, and replaces
+///   every AND fanin `a` by its class representative `r`'s frame-1
+///   literal when `r` comes earlier in node order than `a`.
+///
+/// A pair whose two members' normalized frame-1 literals coincide is
+/// *settled* and skips its condition-2 query. This proves nothing on
+/// its own — it leans on the pairs whose equality the substitutions
+/// assumed — but a sweep in which every *queried* pair is Unsat also
+/// proves every settled pair. Take any assignment satisfying `Q` and
+/// the collapsed equalities and induct on node index `k`: (i) `k`'s
+/// scratch literal evaluates to `k`'s frame-1 value, because a fanin
+/// `a` is replaced by `r < a` only, and the pair `(a, r)` has maximum
+/// index `a < k`, so it holds by (ii); (ii) a pair with maximum index
+/// `k` holds: queried, it was Unsat; settled, both members carry one
+/// literal, so by (i) they carry one value. A pair whose representative
+/// has the larger index is thus checked at that index and never reduces
+/// a fanin. A sweep that ends at a witness concludes nothing about its
+/// settled pairs, so the fixed point is unchanged; only the query count
+/// moves.
+struct Congruence {
+    /// The scratch table: `(fanin, fanin)` → AND node, with the scratch
+    /// nodes numbered from 1 (node 0 is the constant) and the table's
+    /// storage reused across rounds.
+    table: HashMap<(Lit, Lit), Var>,
+    nodes: usize,
+    /// Scratch literal of every product node in frame 0 / frame 1.
+    frame0: Vec<Lit>,
+    frame1: Vec<Lit>,
+    /// The structural representative of every strash-collapsed node.
+    collapsed: Vec<Option<Lit>>,
+    /// Per class, its first member in node order seen so far.
+    first: Vec<Option<Var>>,
+    /// `settled[m]`: the pair `(m, representative)` is settled.
+    settled: Vec<bool>,
+}
+
+impl Congruence {
+    fn new(aig: &Aig, struct_eqs: &[(Var, Lit)]) -> Congruence {
+        let n = aig.num_nodes();
+        let mut collapsed = vec![None; n];
+        for &(m, rl) in struct_eqs {
+            collapsed[m.index()] = Some(rl);
+        }
+        Congruence {
+            table: HashMap::new(),
+            nodes: 0,
+            frame0: vec![Lit::FALSE; n],
+            frame1: vec![Lit::FALSE; n],
+            collapsed,
+            first: Vec::new(),
+            settled: vec![false; n],
+        }
+    }
+
+    fn fresh(&mut self) -> Lit {
+        self.nodes += 1;
+        Var::from_index(self.nodes).lit()
+    }
+
+    /// The hash-consed AND, with [`Aig::and`]'s trivial rules.
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if a == Lit::FALSE || a == !b {
+            return Lit::FALSE;
+        }
+        if a == Lit::TRUE || a == b {
+            return b;
+        }
+        if let Some(&v) = self.table.get(&(a, b)) {
+            return v.lit();
+        }
+        let l = self.fresh();
+        self.table.insert((a, b), l.var());
+        l
+    }
+
+    /// The frame-1 scratch literal of an AND fanin: its representative's
+    /// when the representative comes first in node order.
+    fn fanin1(&self, partition: &Partition, a: Lit) -> Lit {
+        let v = a.var();
+        let rep = partition
+            .class_of(v)
+            .map(|ci| partition.class(ci)[0])
+            .filter(|&r| r < v);
+        let l = match rep {
+            Some(r) => {
+                self.frame1[r.index()].complement_if(partition.phase(v) != partition.phase(r))
+            }
+            None => self.frame1[v.index()],
+        };
+        l.complement_if(a.is_complemented())
+    }
+
+    /// Rebuilds the scratch copy for `partition` and marks its settled
+    /// pairs; returns how many there are.
+    fn settle(&mut self, aig: &Aig, partition: &Partition) -> u64 {
+        self.table.clear();
+        self.nodes = 0;
+        self.first.clear();
+        self.first.resize(partition.num_classes(), None);
+        let signed =
+            |frame: &[Lit], l: Lit| frame[l.var().index()].complement_if(l.is_complemented());
+        for v in aig.vars() {
+            let i = v.index();
+            let alias = match (self.collapsed[i], partition.class_of(v)) {
+                (Some(rl), _) if rl.var() < v => Some(signed(&self.frame0, rl)),
+                (_, Some(ci)) => match self.first[ci] {
+                    Some(c) => Some(
+                        self.frame0[c.index()]
+                            .complement_if(partition.phase(v) != partition.phase(c)),
+                    ),
+                    None => {
+                        self.first[ci] = Some(v);
+                        None
+                    }
+                },
+                _ => None,
+            };
+            self.frame0[i] = match (alias, aig.node(v)) {
+                (Some(l), _) => l,
+                (None, Node::Const) => Lit::FALSE,
+                (None, Node::Input { .. } | Node::Latch { .. }) => self.fresh(),
+                (None, &Node::And { a, b }) => {
+                    let (la, lb) = (signed(&self.frame0, a), signed(&self.frame0, b));
+                    self.and(la, lb)
+                }
+            };
+        }
+        for v in aig.vars() {
+            self.frame1[v.index()] = match aig.node(v) {
+                Node::Const => Lit::FALSE,
+                Node::Input { .. } => self.fresh(),
+                Node::Latch { next, .. } => signed(&self.frame0, next.expect("driven latch")),
+                &Node::And { a, b } => {
+                    let (la, lb) = (self.fanin1(partition, a), self.fanin1(partition, b));
+                    self.and(la, lb)
+                }
+            };
+        }
+        self.settled.fill(false);
+        let mut settled = 0;
+        for ci in partition.multi_classes() {
+            let members = partition.class(ci);
+            let lr = Unrolling::norm(&self.frame1, partition, members[0]);
+            for &m in &members[1..] {
+                if Unrolling::norm(&self.frame1, partition, m) == lr {
+                    self.settled[m.index()] = true;
+                    settled += 1;
+                }
+            }
+        }
+        settled
+    }
+}
+
 /// The static dependency structure behind hot-first pair scheduling.
 ///
 /// A condition-2 query compares the pair's *frame-1* values, whose
 /// two-frame cone reaches frame 0 only through the next-state
-/// functions of the latches in the pair's structural cone. Refining a
-/// class `C` therefore can only flip a pair `(m, r)` from proven to
-/// refutable when some member of `C` lies inside the frame-0 cone of
-/// one of those next-state functions — pairs outside that dependency
-/// stay proven and are scanned last.
+/// functions of the latches in the pair's structural cone. A split is
+/// therefore most likely to make a pair `(m, r)` refutable when some
+/// member of a refined class lies inside the frame-0 cone of one of
+/// those next-state functions, so such pairs are scanned first. This
+/// is a scan-order heuristic, not a proof: `Q` constrains frame 0 as a
+/// whole, so splitting a class outside a pair's cones can make the pair
+/// refutable too. With `next(z) = p`, `next(w) = q` and a class
+/// `{a, b}` where `a = p ⊕ x` and `b = q ⊕ x`, `a ≡ b` forces `p = q`
+/// and so proves `(z, w)`; splitting `{a, b}` makes `(z, w)` refutable
+/// although neither `a` nor `b` feeds a next-state function. Cold pairs
+/// are therefore still queried every round, only later.
 ///
 /// Both sides are precomputed once per run as latch-indexed bitsets:
 /// `latch_cone[v]` (which latches the value of `v` structurally reads)
@@ -661,6 +833,9 @@ impl DepMap {
 /// Everything one round's sweep reads but never writes.
 struct RoundCtx<'a> {
     partition: &'a Partition,
+    /// [`Congruence::settled`]: the pairs whose condition-2 query is
+    /// skipped.
+    settled: &'a [bool],
     opts: &'a Options,
     round: usize,
     obs: &'a Obs,
@@ -741,9 +916,9 @@ fn take_witness(rs: &RoundSolver, ctx: &RoundCtx, seq: u64, init: bool) -> Sweep
     SweepEnd::Witness(Witness { seq, kind })
 }
 
-/// Sweeps one chunk pair by pair: the condition-2 query, then the
-/// condition-1 query of a pair condition 2 proved. The first
-/// satisfiable query ends the sweep with its witness.
+/// Sweeps one chunk pair by pair: the condition-2 query unless the pair
+/// is settled, then the condition-1 query of a pair condition 2 proved.
+/// The first satisfiable query ends the sweep with its witness.
 fn pair_chunk_sweep(
     rs: &mut RoundSolver,
     ctx: &RoundCtx,
@@ -753,9 +928,11 @@ fn pair_chunk_sweep(
     for &(seq, m, r) in chunk {
         sw.heartbeat(rs, ctx);
         for init in [false, true] {
-            // Condition 1 is partition-independent (see
-            // [`RoundSolver::init_eq`]): skip it once proven.
-            if init && rs.init_eq.contains(&(m, r)) {
+            // Condition 2 of a settled pair follows from the round's
+            // other answers (see [`Congruence`]); condition 1 is
+            // partition-independent (see [`RoundSolver::init_eq`]):
+            // skip it once proven.
+            if answered(rs, ctx, m, r, init) {
                 continue;
             }
             let d = rs.u.pair_diff(ctx.partition, m, r, init);
@@ -770,9 +947,20 @@ fn pair_chunk_sweep(
     Ok(())
 }
 
+/// Whether a pair's query for one condition is answered without the
+/// solver: condition 2 of a settled pair, condition 1 of a pair in
+/// [`RoundSolver::init_eq`].
+fn answered(rs: &RoundSolver, ctx: &RoundCtx, m: Var, r: Var, init: bool) -> bool {
+    if init {
+        rs.init_eq.contains(&(m, r))
+    } else {
+        ctx.settled[m.index()]
+    }
+}
+
 /// Sweeps one chunk with the batched protocol: condition-2 sub-batches
-/// of up to [`Options::batch_pairs`] pairs, then condition 1 over the
-/// proven survivors behind [`RoundSolver::init_eq`]. Each sub-batch gets
+/// of up to [`Options::batch_pairs`] unsettled pairs, then condition 1
+/// over the chunk behind [`RoundSolver::init_eq`]. Each sub-batch gets
 /// one fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
 /// pairs' cached difference literals, and `b` assumed alongside the
 /// round activation, and is solved once. **Unsat** proves all `k` pairs
@@ -787,14 +975,14 @@ fn batched_chunk_sweep(
     sw: &mut Sweep,
     chunk: &[(u64, Var, Var)],
 ) -> Result<(), SweepEnd> {
-    let mut live: Vec<(u64, Var, Var)> = chunk.to_vec();
     for init in [false, true] {
-        // Condition 2 runs over the whole chunk; condition 1 only over
-        // the pairs condition 2 proved, minus the cross-round cache.
-        let mut todo = std::mem::take(&mut live);
-        if init {
-            todo.retain(|&(_, m, r)| !rs.init_eq.contains(&(m, r)));
-        }
+        // Condition 1 is reached only once condition 2 holds for the
+        // whole chunk: a satisfiable batch ends the sweep.
+        let todo: Vec<(u64, Var, Var)> = chunk
+            .iter()
+            .copied()
+            .filter(|&(_, m, r)| !answered(rs, ctx, m, r, init))
+            .collect();
         for batch in todo.chunks(ctx.opts.batch_pairs) {
             sw.heartbeat(rs, ctx);
             let ds: Vec<SatLit> = batch
@@ -822,12 +1010,39 @@ fn batched_chunk_sweep(
             }
             if init {
                 rs.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
-            } else {
-                live.extend_from_slice(batch);
             }
         }
     }
     Ok(())
+}
+
+/// Debug builds only: re-queries every pair a certifying round settled,
+/// under the round's activation literal, and panics on a refutable one.
+/// The queries run on a clone of the solver with its own limits and no
+/// observability handle, so the run's counters and its solver's
+/// trajectory are the same as in a release build. An interrupted query
+/// proves nothing either way and is skipped.
+#[cfg(debug_assertions)]
+fn assert_settled_pairs_hold(
+    u: &Unrolling,
+    ctx: &RoundCtx,
+    act: SatLit,
+    pairs: &[(u64, Var, Var)],
+    deadline: &Deadline,
+) {
+    let mut u = u.clone();
+    u.solver.set_obs(Obs::off());
+    u.solver.set_conflict_budget(None);
+    u.solver.set_limits(deadline.limits());
+    for &(_, m, r) in pairs.iter().filter(|&&(_, m, _)| ctx.settled[m.index()]) {
+        let d = u.pair_diff(ctx.partition, m, r, false);
+        let answer = u.solver.solve_with_assumptions(&[act, d]);
+        assert!(
+            answer != SatResult::Sat,
+            "round {}: the settled pair ({m}, {r}) is refutable",
+            ctx.round
+        );
+    }
 }
 
 /// Sweeps one round's pairs in scan order: the hot segment (the first
@@ -908,6 +1123,7 @@ pub(crate) fn run_fixed_point(
     // below). Empty on the first round: no merge has happened yet, so
     // every pair is cold and the round is an ordinary full sweep.
     let dep = DepMap::build(aig);
+    let mut congruence = Congruence::new(aig, struct_eqs);
     let mut hot: HashSet<usize> = HashSet::new();
     let mut hot_latches = vec![0u64; dep.words];
     let result = loop {
@@ -977,6 +1193,9 @@ pub(crate) fn run_fixed_point(
         }
         let rs = solver.as_mut().expect("a solver was just brought up");
         let act = rs.start_round(partition, deadline);
+        let settled = congruence.settle(aig, partition);
+        obs.add(Counter::CongruentPairs, settled);
+        sp.record("settled", settled);
         let mut sw = Sweep {
             act,
             queries: 0,
@@ -984,6 +1203,7 @@ pub(crate) fn run_fixed_point(
         };
         let ctx = RoundCtx {
             partition,
+            settled: &congruence.settled,
             opts,
             round: round_no,
             obs,
@@ -1004,6 +1224,8 @@ pub(crate) fn run_fixed_point(
                     // certified sweep, so the partition is the fixed
                     // point. The round's `Q` is still active for the
                     // Theorem-1 output check.
+                    #[cfg(debug_assertions)]
+                    assert_settled_pairs_hold(&rs.u, &ctx, act, &pairs, deadline);
                     match check_outputs(&mut rs.u, partition, act, output_pairs, obs) {
                         Err(e) => break Err(e),
                         Ok(Some(ok)) => break Ok(ok),
@@ -1064,4 +1286,160 @@ pub(crate) fn run_fixed_point(
         rs.meter.flush(&rs.u.solver);
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::OptionsBuilder;
+    use sec_obs::Recorder;
+    use std::sync::Arc;
+
+    /// The settled flags of `classes` (every phase positive except
+    /// `antivalent`'s), with `struct_eqs` as the collapsed equalities.
+    fn settled(
+        aig: &Aig,
+        classes: &[&[Var]],
+        antivalent: &[Var],
+        struct_eqs: &[(Var, Lit)],
+    ) -> Vec<bool> {
+        let phase = aig.vars().map(|v| !antivalent.contains(&v)).collect();
+        let classes = classes.iter().map(|c| c.to_vec()).collect();
+        let partition = Partition::new(aig.num_nodes(), classes, phase);
+        let mut congruence = Congruence::new(aig, struct_eqs);
+        let n = congruence.settle(aig, &partition);
+        assert_eq!(n, congruence.settled.iter().filter(|&&s| s).count() as u64);
+        congruence.settled
+    }
+
+    /// Inputs `a, b, c, d` and the gates `m = a ∧ b`, `n = c ∧ d`.
+    fn two_gates() -> (Aig, [Var; 6]) {
+        let mut aig = Aig::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|s| aig.add_input(s));
+        let m = aig.and(a.lit(), b.lit()).var();
+        let n = aig.and(c.lit(), d.lit()).var();
+        (aig, [a, b, c, d, m, n])
+    }
+
+    #[test]
+    fn frame0_reduction_settles_latches_over_equal_members() {
+        // p and q latch x ∧ a and x ∧ b: equal under Q once a ~ b.
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let [a, b, p, q] = [0; 4].map(|_| aig.add_latch(false));
+        let ga = aig.and(a.lit(), x.lit());
+        let gb = aig.and(b.lit(), x.lit());
+        aig.set_latch_next(a, x.lit());
+        aig.set_latch_next(b, !x.lit());
+        aig.set_latch_next(p, ga);
+        aig.set_latch_next(q, gb);
+        assert!(settled(&aig, &[&[a, b], &[p, q]], &[], &[])[q.index()]);
+        assert!(!settled(&aig, &[&[p, q]], &[], &[])[q.index()]);
+    }
+
+    #[test]
+    fn frame1_fanin_reduction_settles_gates_over_equal_fanins() {
+        // Inputs are fresh in frame 1, so only the fanin reduction can
+        // give a ∧ b and c ∧ d one literal.
+        let (aig, [a, b, c, d, m, n]) = two_gates();
+        assert!(settled(&aig, &[&[a, c], &[b, d], &[m, n]], &[], &[])[n.index()]);
+        assert!(!settled(&aig, &[&[a, c], &[m, n]], &[], &[])[n.index()]);
+    }
+
+    #[test]
+    fn no_fanin_reduction_through_a_later_representative() {
+        // The representatives c and d come after a and b: m keeps its
+        // own fanins, so the pair (m, n) is queried.
+        let (aig, [a, b, c, d, m, n]) = two_gates();
+        let got = settled(&aig, &[&[c, a], &[d, b], &[m, n]], &[], &[]);
+        assert!(!got[n.index()]);
+        assert!(!got[a.index()] && !got[b.index()]);
+    }
+
+    #[test]
+    fn antivalent_pairs_settle_with_their_phases() {
+        // p latches g, q latches ¬g: antivalent, so settled only when
+        // q's phase says so.
+        let mut aig = Aig::new();
+        let [x, y] = ["x", "y"].map(|s| aig.add_input(s));
+        let [p, q] = [0; 2].map(|_| aig.add_latch(false));
+        let g = aig.and(x.lit(), y.lit());
+        aig.set_latch_next(p, g);
+        aig.set_latch_next(q, !g);
+        assert!(settled(&aig, &[&[p, q]], &[q], &[])[q.index()]);
+        assert!(!settled(&aig, &[&[p, q]], &[], &[])[q.index()]);
+
+        // An antivalent fanin pair: a ∧ x against ¬c ∧ x.
+        let mut aig = Aig::new();
+        let [a, c, x] = ["a", "c", "x"].map(|s| aig.add_input(s));
+        let m = aig.and(a.lit(), x.lit()).var();
+        let n = aig.and(!c.lit(), x.lit()).var();
+        assert!(settled(&aig, &[&[a, c], &[m, n]], &[c], &[])[n.index()]);
+        assert!(!settled(&aig, &[&[a, c], &[m, n]], &[], &[])[n.index()]);
+    }
+
+    #[test]
+    fn strash_collapsed_members_reduce_in_frame0() {
+        // w is collapsed onto z (and so untracked): p and q, which latch
+        // z ∧ x and w ∧ x, settle only through that equality.
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let [z, w, p, q] = [0; 4].map(|_| aig.add_latch(false));
+        let gz = aig.and(z.lit(), x.lit());
+        let gw = aig.and(w.lit(), x.lit());
+        aig.set_latch_next(z, x.lit());
+        aig.set_latch_next(w, x.lit());
+        aig.set_latch_next(p, gz);
+        aig.set_latch_next(q, gw);
+        assert!(settled(&aig, &[&[p, q]], &[], &[(w, z.lit())])[q.index()]);
+        assert!(!settled(&aig, &[&[p, q]], &[], &[])[q.index()]);
+    }
+
+    #[test]
+    fn a_settled_pair_over_a_refutable_fanin_pair_still_splits() {
+        // a and c latch different inputs, so (a, c) is refutable; the
+        // gates m = a ∧ x and n = c ∧ x settle through it in round 1.
+        let mut aig = Aig::new();
+        let [x, y] = ["x", "y"].map(|s| aig.add_input(s));
+        let [a, c] = [0; 2].map(|_| aig.add_latch(false));
+        aig.set_latch_next(a, x.lit());
+        aig.set_latch_next(c, y.lit());
+        let m = aig.and(a.lit(), x.lit()).var();
+        let n = aig.and(c.lit(), x.lit()).var();
+        let start = || {
+            let phase = vec![true; aig.num_nodes()];
+            Partition::new(aig.num_nodes(), vec![vec![a, c], vec![m, n]], phase)
+        };
+        let mut congruence = Congruence::new(&aig, &[]);
+        assert_eq!(congruence.settle(&aig, &start()), 1);
+        assert!(congruence.settled[n.index()]);
+
+        let deadline = Deadline::new(None);
+        let mut want = start();
+        crate::bdd_backend::run_fixed_point(
+            &aig,
+            &mut want,
+            &Options::default(),
+            &deadline,
+            None,
+            &[],
+        )
+        .unwrap();
+        assert_ne!(want.class_of(m), want.class_of(n));
+        for batch_pairs in [0, 32] {
+            let recorder = Recorder::new();
+            let opts = OptionsBuilder::sat()
+                .batch_pairs(batch_pairs)
+                .obs(Obs::multi(vec![Arc::new(recorder.clone())]))
+                .build();
+            let mut got = start();
+            run_fixed_point(&aig, &mut got, &opts, &deadline, &[], &[]).unwrap();
+            assert_eq!(
+                got.canonical_classes(),
+                want.canonical_classes(),
+                "batch_pairs {batch_pairs}"
+            );
+            assert!(recorder.counter(Counter::CongruentPairs) >= 1);
+        }
+    }
 }

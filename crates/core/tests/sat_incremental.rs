@@ -22,7 +22,7 @@ use sec_gen::{counter, mixed, CounterKind};
 use sec_limits::CancellationToken;
 use sec_netlist::{Aig, ProductMachine, Var};
 use sec_obs::{Counter, Obs, Recorder};
-use sec_synth::{forward_retime, unshare_latch_cones, RetimeOptions};
+use sec_synth::{forward_retime, pipeline, unshare_latch_cones, PipelineOptions, RetimeOptions};
 use std::sync::Arc;
 
 /// Order-independent identity of a partition: canonical classes plus
@@ -101,6 +101,42 @@ fn all_sat_variants_match_the_bdd_fixed_point() {
                 fingerprint(&aig, &got),
                 want,
                 "pair {i}: SAT variant '{name}' diverged from the BDD fixed point"
+            );
+        }
+    }
+}
+
+#[test]
+fn congruence_settlement_keeps_the_bdd_fixed_point_on_resyntheses() {
+    // Full-pipeline resyntheses (retimed, rewritten, rebalanced): their
+    // product machines carry pairs a round settles by congruence, so
+    // both sweeps skip queries here and must still certify the BDD
+    // fixed point.
+    let specs = [
+        counter(6, CounterKind::Binary),
+        mixed(12, 7),
+        sec_gen::crc(8, 0x9B),
+    ];
+    for (i, spec) in specs.iter().enumerate() {
+        let imp = pipeline(spec, &PipelineOptions::default(), i as u64 + 1);
+        let aig = ProductMachine::build(spec, &imp).unwrap().aig;
+        let reference = correspondence_partition(&aig, &Options::default()).unwrap();
+        let want = fingerprint(&aig, &reference);
+        for batch_pairs in [0, 32] {
+            let recorder = Recorder::new();
+            let opts = OptionsBuilder::sat()
+                .batch_pairs(batch_pairs)
+                .obs(Obs::multi(vec![Arc::new(recorder.clone())]))
+                .build();
+            let got = correspondence_partition(&aig, &opts).unwrap();
+            assert_eq!(
+                fingerprint(&aig, &got),
+                want,
+                "design {i}, batch_pairs {batch_pairs}: diverged from the BDD fixed point"
+            );
+            assert!(
+                recorder.counter(Counter::CongruentPairs) > 0,
+                "design {i}, batch_pairs {batch_pairs}: no pair settled"
             );
         }
     }

@@ -225,6 +225,11 @@ counters! {
         /// Candidate pairs separated by decoding the model of a
         /// satisfiable batched call.
         BatchPairsDecoded => "batch_pairs_decoded",
+        /// Candidate pairs whose condition-2 query a SAT round skipped
+        /// because the pair's two members hash to one literal in the
+        /// round's speculatively reduced two-frame copy, summed over
+        /// rounds.
+        CongruentPairs => "congruent_pairs",
     }
 }
 
