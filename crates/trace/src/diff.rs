@@ -10,9 +10,10 @@ use std::fmt::Write as _;
 ///
 /// A threshold is a percentage of allowed *growth*: counter `c`
 /// regresses when `new > base * (1 + pct/100)` (a zero baseline
-/// regresses on any growth). Decreases never regress. Counters without
-/// a threshold (and all phase timings, which are machine-dependent)
-/// are reported but never gate.
+/// regresses on any growth), and decreases never regress — except
+/// under a threshold of exactly 0, which pins the counter: any change,
+/// up or down, regresses. Counters without a threshold (and all phase
+/// timings, which are machine-dependent) are reported but never gate.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOptions {
     /// Threshold applied to every counter not named in
@@ -86,10 +87,8 @@ pub fn diff(base: &TraceSummary, new: &TraceSummary, opts: &DiffOptions) -> Trac
             .copied()
             .or(opts.default_threshold_pct);
         let regressed = match threshold {
-            Some(t) => {
-                let allowed = b as f64 * (1.0 + t / 100.0);
-                n > b && n as f64 > allowed
-            }
+            Some(0.0) => n != b,
+            Some(t) => n > b && n as f64 > b as f64 * (1.0 + t / 100.0),
             None => false,
         };
         if regressed {
@@ -220,6 +219,31 @@ mod tests {
         let opts = DiffOptions {
             default_threshold_pct: Some(10.0),
             thresholds: [("sat_conflicts".to_string(), 50.0)].into_iter().collect(),
+        };
+        assert!(!diff(&base, &new, &opts).regressed());
+    }
+
+    #[test]
+    fn zero_threshold_pins_a_counter_both_ways() {
+        let base = summary_with("\"sat_conflicts\":100,\"rounds\":10,\"splits\":5");
+        let new = summary_with("\"sat_conflicts\":90,\"rounds\":11,\"splits\":5");
+        let opts = DiffOptions {
+            default_threshold_pct: Some(25.0),
+            thresholds: [("sat_conflicts", 0.0), ("rounds", 0.0), ("splits", 0.0)]
+                .into_iter()
+                .map(|(name, t)| (name.to_string(), t))
+                .collect(),
+        };
+        // The shrinking and the growing pinned counter both regress;
+        // the unchanged one does not.
+        let d = diff(&base, &new, &opts);
+        assert_eq!(d.regressions, vec!["rounds", "sat_conflicts"]);
+        assert!(render_diff(&d).contains("REGRESSION: rounds, sat_conflicts"));
+
+        // Any other threshold still gates growth only.
+        let opts = DiffOptions {
+            default_threshold_pct: Some(25.0),
+            ..DiffOptions::default()
         };
         assert!(!diff(&base, &new, &opts).regressed());
     }
