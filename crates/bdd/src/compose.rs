@@ -1,9 +1,12 @@
 //! Substitution: vector composition and cube cofactoring.
 //!
-//! Vector composition builds `f(x₁ ← g₁, …, xₙ ← gₙ)` in one pass; the
-//! verification engine uses it to express the paper's next-state functions
-//! `ν_v(s, x_t, x_{t+1}) = f_v(δ(s, x_t), x_{t+1})` and to apply
-//! functional-dependency substitutions (Sec. 4).
+//! Vector composition builds `f(x₁ ← g₁, …, xₙ ← gₙ)` in one pass. The
+//! traversal baseline and the correspondence engine's approximate
+//! reachability use it for renaming and substitution. The engine builds
+//! the paper's next-state functions `ν_v = f_v(δ(s, x_t), x_{t+1})` and
+//! its functional-dependency substitutions (Sec. 4) gate by gate over
+//! the circuit instead, and tests those builds against
+//! [`BddManager::compose_many`] handle for handle.
 
 use crate::manager::{BddManager, BddResult};
 use crate::node::{Bdd, BddVar};

@@ -15,7 +15,7 @@
 //! * quantification ([`exists`](BddManager::exists),
 //!   [`and_exists`](BddManager::and_exists)) and simultaneous
 //!   [composition](BddManager::compose) for image computation and
-//!   next-state function construction.
+//!   substitution.
 //!
 //! ## Example
 //!

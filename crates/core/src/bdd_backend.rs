@@ -7,14 +7,76 @@
 //! disagree on a `Q`-satisfying point. Splitting is counterexample-guided:
 //! one satisfying assignment is simulated over two time frames and every
 //! class is refined by the resulting value vector.
+//!
+//! Every function vector the fixed point needs — `f`, `ν`, the exact
+//! `T0` cofactors and each round's functional-dependency substitution —
+//! is built gate by gate by [`build_functions`], not by vector
+//! composition (DESIGN.md §5).
 
 use crate::context::{Abort, Deadline};
 use crate::options::Options;
 use crate::partition::Partition;
 use sec_bdd::{Bdd, BddManager, BddVar, Substitution};
-use sec_netlist::{Aig, Node, Var};
+use sec_netlist::{Aig, Lit, Node, Var};
 use sec_obs::{event, span, Counter, Gauge, Histogram, Obs, ProgressTicker};
 use sec_sim::{eval_single, next_state_single};
+
+/// Every node's function over the AIG with latch `i` bound to `latch[i]`
+/// and input `j` to `input[j]`: one `and` per AND gate, in node order.
+///
+/// For every node `v` the result is `f_v[s ← latch, x_t ← input]`, the
+/// very handle [`BddManager::compose_many`] returns for it: composition
+/// distributes over `∧` and `¬`, and complement-edge ROBDDs are
+/// canonical. Unlike composition, the build leaves no garbage — every
+/// node an `and` creates is reachable from its result.
+fn build_functions(
+    mgr: &mut BddManager,
+    aig: &Aig,
+    latch: &[Bdd],
+    input: &[Bdd],
+    deadline: &Deadline,
+) -> Result<Vec<Bdd>, Abort> {
+    let mut f: Vec<Bdd> = vec![Bdd::ZERO; aig.num_nodes()];
+    for v in aig.vars() {
+        if v.index() % 1024 == 0 {
+            deadline.check()?;
+        }
+        f[v.index()] = match aig.node(v) {
+            Node::Const => Bdd::ZERO,
+            Node::Input { index } => input[*index as usize],
+            Node::Latch { index, .. } => latch[*index as usize],
+            Node::And { a, b } => mgr.and(lit_function(&f, *a), lit_function(&f, *b))?,
+        };
+    }
+    Ok(f)
+}
+
+/// The function of literal `l` in a vector of node functions.
+fn lit_function(fs: &[Bdd], l: Lit) -> Bdd {
+    fs[l.var().index()].complement_if(l.is_complemented())
+}
+
+/// Each latch's next-state literal read out of the node functions `fs`
+/// (`δ` when `fs` is `f`).
+fn next_state_functions(aig: &Aig, fs: &[Bdd]) -> Vec<Bdd> {
+    aig.latches()
+        .iter()
+        .map(|&l| lit_function(fs, aig.latch_next(l).expect("driven latch")))
+        .collect()
+}
+
+/// The projection functions of `vars`.
+fn projections(mgr: &BddManager, vars: &[BddVar]) -> Vec<Bdd> {
+    vars.iter().map(|&v| mgr.var(v)).collect()
+}
+
+/// Normalizes node functions by the reference-point phase (`f` → `f̂`).
+fn normalize(mut fs: Vec<Bdd>, partition: &Partition) -> Vec<Bdd> {
+    for (i, b) in fs.iter_mut().enumerate() {
+        *b = b.complement_if(!partition.phase(Var::from_index(i)));
+    }
+    fs
+}
 
 struct BddContext {
     mgr: BddManager,
@@ -61,73 +123,62 @@ impl BddContext {
             xt_vars.push(mgr.add_var());
             xt1_vars.push(mgr.add_var());
         }
-        // Current-state functions.
-        let mut f: Vec<Bdd> = vec![Bdd::ZERO; aig.num_nodes()];
-        for v in aig.vars() {
-            if v.index() % 1024 == 0 {
-                deadline.check()?;
-            }
-            f[v.index()] = match aig.node(v) {
-                Node::Const => Bdd::ZERO,
-                Node::Input { index } => mgr.var(xt_vars[*index as usize]),
-                Node::Latch { index, .. } => mgr.var(state_vars[*index as usize]),
-                Node::And { a, b } => {
-                    let fa = f[a.var().index()].complement_if(a.is_complemented());
-                    let fb = f[b.var().index()].complement_if(b.is_complemented());
-                    mgr.and(fa, fb)?
-                }
-            };
-        }
-        // Next-state functions: substitute δ for s and x_{t+1} for x_t.
-        let mut subst = Substitution::new();
-        let mut delta = Vec::with_capacity(aig.num_latches());
-        for (i, &l) in aig.latches().iter().enumerate() {
-            let next = aig.latch_next(l).expect("driven latch");
-            let d = f[next.var().index()].complement_if(next.is_complemented());
-            subst.set(state_vars[i], d);
-            delta.push(d);
-        }
-        for (j, &xv) in xt_vars.iter().enumerate() {
-            subst.set(xv, mgr.var(xt1_vars[j]));
-        }
-        // Compose in chunks with garbage collection in between: the bulk
-        // composition generates intermediate nodes far in excess of the
-        // live results, and nothing roots them while a single huge
-        // compose runs.
-        let mut nu: Vec<Bdd> = Vec::with_capacity(f.len());
-        for chunk in f.chunks(256) {
-            deadline.check()?;
-            nu.extend(mgr.compose_many(chunk, &subst)?);
-            if mgr.live_nodes() > opts.node_limit / 2 {
-                let mut roots: Vec<Bdd> = f.clone();
-                roots.extend_from_slice(&nu);
-                for (_, g) in subst.iter() {
-                    roots.push(g);
-                }
-                mgr.gc(&roots);
-            }
-        }
-
-        // Normalize by the reference-point phase.
-        let fhat: Vec<Bdd> = f
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b.complement_if(!partition.phase(Var::from_index(i))))
-            .collect();
-        let nuhat: Vec<Bdd> = nu
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b.complement_if(!partition.phase(Var::from_index(i))))
-            .collect();
+        // Current-state functions f(s, x_t), then next-state functions
+        // ν = f(δ, x_{t+1}): the same gates with latches bound to δ.
+        let s = projections(&mgr, &state_vars);
+        let xt = projections(&mgr, &xt_vars);
+        let xt1 = projections(&mgr, &xt1_vars);
+        let f = build_functions(&mut mgr, aig, &s, &xt, deadline)?;
+        let delta = next_state_functions(aig, &f);
+        let nu = build_functions(&mut mgr, aig, &delta, &xt1, deadline)?;
         Ok(BddContext {
             mgr,
             state_vars,
             xt_vars,
             xt1_vars,
-            fhat,
-            nuhat,
+            fhat: normalize(f, partition),
+            nuhat: normalize(nu, partition),
             delta,
         })
+    }
+
+    /// The normalized current- and next-state functions with every state
+    /// variable `s_i` replaced by `images[i]`: `f(images, x_t)`, then
+    /// `ν = f(δ(images, x_t), x_{t+1})`, whose latches take the first
+    /// build's next-state literals. These are `compose(f̂, σ)` and
+    /// `compose(ν̂, σ)` for the substitution `σ: s ← images`.
+    fn substituted(
+        &mut self,
+        aig: &Aig,
+        partition: &Partition,
+        images: &[Bdd],
+        deadline: &Deadline,
+    ) -> Result<(Vec<Bdd>, Vec<Bdd>), Abort> {
+        let xt = projections(&self.mgr, &self.xt_vars);
+        let xt1 = projections(&self.mgr, &self.xt1_vars);
+        let fc = build_functions(&mut self.mgr, aig, images, &xt, deadline)?;
+        let next = next_state_functions(aig, &fc);
+        let nc = build_functions(&mut self.mgr, aig, &next, &xt1, deadline)?;
+        Ok((normalize(fc, partition), normalize(nc, partition)))
+    }
+
+    /// The normalized current-state functions cofactored at the
+    /// initial state: the gates rebuilt with every latch bound to its
+    /// initial constant.
+    fn at_init(
+        &mut self,
+        aig: &Aig,
+        partition: &Partition,
+        deadline: &Deadline,
+    ) -> Result<Vec<Bdd>, Abort> {
+        let init: Vec<Bdd> = aig
+            .latches()
+            .iter()
+            .map(|&l| Bdd::ONE.complement_if(!aig.latch_init(l)))
+            .collect();
+        let xt = projections(&self.mgr, &self.xt_vars);
+        let at_init = build_functions(&mut self.mgr, aig, &init, &xt, deadline)?;
+        Ok(normalize(at_init, partition))
     }
 
     fn roots(&self) -> Vec<Bdd> {
@@ -151,33 +202,31 @@ impl BddContext {
 /// Exact `T0` (paper Eq. 2): group class members by their function
 /// cofactored at the initial state — two signals stay together iff they
 /// agree *for every input* at `s0`.
-fn refine_t0(ctx: &mut BddContext, aig: &Aig, partition: &mut Partition) -> Result<bool, Abort> {
-    let mut subst = Substitution::new();
-    for (i, &l) in aig.latches().iter().enumerate() {
-        let init = aig.latch_init(l);
-        subst.set(ctx.state_vars[i], if init { Bdd::ONE } else { Bdd::ZERO });
-    }
-    let at_init = ctx.mgr.compose_many(&ctx.fhat, &subst)?;
-    let mut changed = false;
+fn refine_t0(
+    ctx: &mut BddContext,
+    aig: &Aig,
+    partition: &mut Partition,
+    deadline: &Deadline,
+) -> Result<(), Abort> {
+    let at_init = ctx.at_init(aig, partition, deadline)?;
     let class_ids: Vec<usize> = partition.multi_classes().collect();
     for ci in class_ids {
-        changed |= partition.split_class_by_key(ci, |v| at_init[v.index()]);
+        partition.split_class_by_key(ci, |v| at_init[v.index()]);
     }
-    Ok(changed)
+    Ok(())
 }
 
-/// Derives the functional-dependency substitution (paper Sec. 4): a state
-/// variable whose latch sits in a class represented by another signal is
-/// replaced by the representative's function, provided no circularity
-/// arises.
-fn funcdep_subst(
-    ctx: &BddContext,
-    aig: &Aig,
-    partition: &Partition,
-) -> (Substitution, Vec<(BddVar, Bdd)>) {
+/// Derives the functional-dependency substitution (paper Sec. 4) as one
+/// image per latch: a state variable whose latch sits in a class
+/// represented by another signal is replaced by the representative's
+/// function, provided no circularity arises; every other latch keeps its
+/// own state variable. Returns `None` when no latch is substituted.
+///
+/// No substituted variable occurs in any image, so the images also
+/// reconstruct a counterexample's substituted state bits, in any order.
+fn funcdep_images(ctx: &BddContext, aig: &Aig, partition: &Partition) -> Option<Vec<Bdd>> {
     use std::collections::HashSet;
-    let mut subst = Substitution::new();
-    let mut ordered: Vec<(BddVar, Bdd)> = Vec::new();
+    let mut images = projections(&ctx.mgr, &ctx.state_vars);
     let mut substituted: HashSet<BddVar> = HashSet::new();
     let mut used_in_images: HashSet<BddVar> = HashSet::new();
     for (i, &lv) in aig.latches().iter().enumerate() {
@@ -200,10 +249,9 @@ fn funcdep_subst(
         }
         substituted.insert(sv);
         used_in_images.extend(sup);
-        subst.set(sv, g);
-        ordered.push((sv, g));
+        images[i] = g;
     }
-    (subst, ordered)
+    (!substituted.is_empty()).then_some(images)
 }
 
 /// Runs the greatest fixed-point iteration with the BDD engine, refining
@@ -216,20 +264,25 @@ pub(crate) fn run_fixed_point(
     opts: &Options,
     deadline: &Deadline,
     approx_spec_latches: Option<&[usize]>,
-    output_pairs: &[(sec_netlist::Lit, sec_netlist::Lit)],
+    output_pairs: &[(Lit, Lit)],
 ) -> Result<bool, Abort> {
     let obs = &opts.obs;
+    let build = span!(obs, "bdd.build");
     let mut ctx = BddContext::build(aig, partition, opts, deadline)?;
-    let result = fixed_point(
-        aig,
-        partition,
-        opts,
-        deadline,
-        approx_spec_latches,
-        output_pairs,
-        &mut ctx,
-        obs,
-    );
+    let t0 = refine_t0(&mut ctx, aig, partition, deadline);
+    drop(build);
+    let result = t0.and_then(|()| {
+        fixed_point(
+            aig,
+            partition,
+            opts,
+            deadline,
+            approx_spec_latches,
+            output_pairs,
+            &mut ctx,
+            obs,
+        )
+    });
     // Flush the manager's whole-lifetime totals once, abort or not, so
     // an interrupted fixed point still reports its allocation pressure
     // and poll activity.
@@ -248,12 +301,10 @@ fn fixed_point(
     opts: &Options,
     deadline: &Deadline,
     approx_spec_latches: Option<&[usize]>,
-    output_pairs: &[(sec_netlist::Lit, sec_netlist::Lit)],
+    output_pairs: &[(Lit, Lit)],
     ctx: &mut BddContext,
     obs: &Obs,
 ) -> Result<bool, Abort> {
-    refine_t0(ctx, aig, partition)?;
-
     // Optional reachability over-approximation (computed once; it is an
     // inductive invariant independent of the partition).
     let s_over = match approx_spec_latches {
@@ -277,26 +328,34 @@ fn fixed_point(
         let mut sp = span!(obs, "round", round = round_no, backend = "bdd");
         let classes_before = partition.num_classes();
 
-        // Functional-dependency substitution for this round.
-        let (subst, ordered) = if opts.functional_deps {
-            funcdep_subst(ctx, aig, partition)
+        // Functional-dependency substitution for this round, rebuilt
+        // gate by gate over the latches' images.
+        let t_build = obs.timer();
+        let images = if opts.functional_deps {
+            funcdep_images(ctx, aig, partition)
         } else {
-            (Substitution::new(), Vec::new())
+            None
         };
-        let (fc, nc) = if subst.is_empty() {
-            (ctx.fhat.clone(), ctx.nuhat.clone())
-        } else {
-            (
-                ctx.mgr.compose_many(&ctx.fhat, &subst)?,
-                ctx.mgr.compose_many(&ctx.nuhat, &subst)?,
-            )
+        let (fc, nc) = match &images {
+            Some(images) => ctx.substituted(aig, partition, images, deadline)?,
+            None => (ctx.fhat.clone(), ctx.nuhat.clone()),
         };
+        if let Some(t) = t_build {
+            sp.record("build_us", t.elapsed().as_micros() as u64);
+        }
 
         // Correspondence condition Q_{T_i}(s, x_t).
-        let mut q = if subst.is_empty() {
-            s_over
-        } else {
-            ctx.mgr.compose(s_over, &subst)?
+        let mut q = match &images {
+            Some(images) if s_over != Bdd::ONE => {
+                let subst: Substitution = ctx
+                    .state_vars
+                    .iter()
+                    .copied()
+                    .zip(images.iter().copied())
+                    .collect();
+                ctx.mgr.compose(s_over, &subst)?
+            }
+            _ => s_over,
         };
         let class_ids: Vec<usize> = partition.multi_classes().collect();
         for &ci in &class_ids {
@@ -308,8 +367,8 @@ fn fixed_point(
             }
         }
 
-        // Intermediate garbage from the compositions and the Q build can
-        // dwarf the live structures; collect before the check loop and
+        // The previous rounds' functions and the Q build can dwarf the
+        // live structures; collect before the check loop and
         // periodically inside it.
         let gc_roots = |ctx: &BddContext, fc: &[Bdd], nc: &[Bdd], q: Bdd| -> Vec<Bdd> {
             let mut roots = ctx.roots();
@@ -367,7 +426,7 @@ fn fixed_point(
                         .mgr
                         .satisfy_one_total(viol)
                         .expect("viol is satisfiable");
-                    for &(sv, g) in &ordered {
+                    for (&sv, &g) in ctx.state_vars.iter().zip(images.iter().flatten()) {
                         asg[sv.id()] = ctx.mgr.eval(g, &asg);
                     }
                     let (s, xt, xt1) = ctx.split_assignment(&asg);
@@ -494,4 +553,104 @@ fn approx_reach(
         invariant = ctx.mgr.and(invariant, reached)?;
     }
     Ok(invariant)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::seed_partition;
+    use sec_gen::{counter, mixed, random_aig, CounterKind};
+    use sec_netlist::ProductMachine;
+    use sec_synth::{forward_retime, pipeline, PipelineOptions, RetimeOptions};
+
+    /// Random circuits plus product machines of resynthesized pairs.
+    fn circuits() -> Vec<Aig> {
+        let mut aigs: Vec<Aig> = (0..6)
+            .map(|seed| random_aig(3 + seed as usize % 3, 4 + seed as usize, 60, seed))
+            .collect();
+        let spec = counter(5, CounterKind::Binary);
+        let imp = forward_retime(&spec, &RetimeOptions::default(), 1);
+        aigs.push(ProductMachine::build(&spec, &imp).unwrap().aig);
+        for (i, spec) in [mixed(10, 3), sec_gen::crc(6, 0x2F)].iter().enumerate() {
+            let imp = pipeline(spec, &PipelineOptions::default(), i as u64 + 1);
+            aigs.push(ProductMachine::build(spec, &imp).unwrap().aig);
+        }
+        aigs
+    }
+
+    #[test]
+    fn gate_by_gate_builds_equal_vector_composition() {
+        let opts = Options::default();
+        let deadline = Deadline::new(None);
+        let mut funcdep_circuits = 0;
+        for (k, aig) in circuits().iter().enumerate() {
+            let partition = seed_partition(aig, &opts);
+            let mut ctx = BddContext::build(aig, &partition, &opts, &deadline).unwrap();
+            let s = ctx.state_vars.clone();
+            let sigma = |latch: &[Bdd]| -> Substitution {
+                s.iter().copied().zip(latch.iter().copied()).collect()
+            };
+            let fhat = ctx.fhat.clone();
+
+            // ν: latches ← δ, x_t ← x_{t+1}.
+            let mut next = sigma(&ctx.delta);
+            for (&xt, &xt1) in ctx.xt_vars.iter().zip(&ctx.xt1_vars) {
+                next.set(xt, ctx.mgr.var(xt1));
+            }
+            let want = ctx.mgr.compose_many(&fhat, &next).unwrap();
+            assert_eq!(ctx.nuhat, want, "circuit {k}: ν");
+
+            // T0: latches ← initial constants.
+            let got = ctx.at_init(aig, &partition, &deadline).unwrap();
+            let init: Vec<Bdd> = aig
+                .latches()
+                .iter()
+                .map(|&l| Bdd::ONE.complement_if(!aig.latch_init(l)))
+                .collect();
+            let want = ctx.mgr.compose_many(&fhat, &sigma(&init)).unwrap();
+            assert_eq!(got, want, "circuit {k}: T0");
+
+            // Functional-dependency images: the engine's own, and every
+            // other latch bound to some node's function (composition is
+            // simultaneous, so any image vector must agree).
+            let mut image_sets: Vec<Vec<Bdd>> =
+                funcdep_images(&ctx, aig, &partition).into_iter().collect();
+            funcdep_circuits += image_sets.len();
+            image_sets.push(
+                (0..aig.num_latches())
+                    .map(|i| match i % 2 {
+                        0 => fhat[(7 * i + k) % aig.num_nodes()].complement_if(i % 3 == 0),
+                        _ => ctx.mgr.var(s[i]),
+                    })
+                    .collect(),
+            );
+            for images in &image_sets {
+                let (fc, nc) = ctx.substituted(aig, &partition, images, &deadline).unwrap();
+                let nuhat = ctx.nuhat.clone();
+                let want_fc = ctx.mgr.compose_many(&fhat, &sigma(images)).unwrap();
+                let want_nc = ctx.mgr.compose_many(&nuhat, &sigma(images)).unwrap();
+                assert_eq!(fc, want_fc, "circuit {k}: substituted f");
+                assert_eq!(nc, want_nc, "circuit {k}: substituted ν");
+            }
+        }
+        assert!(funcdep_circuits > 0, "no circuit substituted a latch");
+    }
+
+    #[test]
+    fn node_overflow_during_the_build_is_a_resource_abort() {
+        let spec = mixed(10, 3);
+        let imp = pipeline(&spec, &PipelineOptions::default(), 1);
+        let aig = ProductMachine::build(&spec, &imp).unwrap().aig;
+        // Room for the terminal, the projections and a handful of gates.
+        let opts = Options {
+            node_limit: aig.num_latches() + 2 * aig.num_inputs() + 8,
+            ..Options::default()
+        };
+        let mut partition = seed_partition(&aig, &opts);
+        let got = run_fixed_point(&aig, &mut partition, &opts, &Deadline::new(None), None, &[]);
+        assert!(
+            matches!(&got, Err(Abort::Resource(r)) if r.contains("BDD overflow")),
+            "{got:?}"
+        );
+    }
 }

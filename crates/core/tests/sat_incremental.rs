@@ -107,6 +107,37 @@ fn all_sat_variants_match_the_bdd_fixed_point() {
 }
 
 #[test]
+fn functional_dependency_substitution_keeps_the_bdd_fixed_point() {
+    // Each round rebuilds the substituted functions gate by gate over
+    // the latches' images; the substitution must be exact, so the BDD
+    // fixed point with it and without it is the same relation.
+    let specs = [
+        counter(6, CounterKind::Binary),
+        mixed(12, 7),
+        sec_gen::crc(8, 0x9B),
+    ];
+    let resyntheses = specs.iter().enumerate().map(|(i, spec)| {
+        let imp = pipeline(spec, &PipelineOptions::default(), i as u64 + 1);
+        ProductMachine::build(spec, &imp).unwrap().aig
+    });
+    for (i, aig) in product_machines()
+        .into_iter()
+        .chain(resyntheses)
+        .enumerate()
+    {
+        let with = OptionsBuilder::new().functional_deps(true).build();
+        let without = OptionsBuilder::new().functional_deps(false).build();
+        let with = correspondence_partition(&aig, &with).unwrap();
+        let without = correspondence_partition(&aig, &without).unwrap();
+        assert_eq!(
+            fingerprint(&aig, &with),
+            fingerprint(&aig, &without),
+            "design {i}: the substituted rebuild changed the BDD fixed point"
+        );
+    }
+}
+
+#[test]
 fn congruence_settlement_keeps_the_bdd_fixed_point_on_resyntheses() {
     // Full-pipeline resyntheses (retimed, rewritten, rebalanced): their
     // product machines carry pairs a round settles by congruence, so

@@ -251,9 +251,10 @@ counters! {
         /// Wall-clock microseconds of one SAT solve call
         /// (`solve_with_assumptions`), budget-aborted calls included.
         SatCallUs => "sat_call_us",
-        /// Wall-clock microseconds of one BDD operation batch of the
-        /// fixed point (a per-pair equivalence check or a
-        /// class-function composition).
+        /// Wall-clock microseconds of one per-pair condition-2 check
+        /// in the BDD backend's refinement loop. Building functions is
+        /// not sampled here: the `bdd.build` span and each BDD `round`
+        /// span's `build_us` field time it.
         BddOpUs => "bdd_op_us",
     }
 }
