@@ -1,14 +1,14 @@
-//! Candidate-set reduction pipeline: solver calls with the pipeline
-//! off vs on.
+//! Candidate-set reduction pipeline: solver calls with batched pair
+//! queries off vs on.
 //!
 //! Runs the two largest suite rows (s13207, s15850) through the SAT
-//! fixed point twice — once with structural collapsing and batched
-//! queries disabled, once with the `Options::sat` preset — and writes the before/after `sat_solver_calls` (plus the
-//! pipeline's own counters and the reduction ratio) to
-//! `BENCH_candidate_reduction.json` at the repository root. The two
-//! configurations must agree on verdict, final class count and
-//! `eqs (%)`: the pipeline changes which queries run, never the fixed
-//! point.
+//! fixed point twice — once with batching disabled, once with the
+//! `Options::sat` preset — and writes the before/after
+//! `sat_solver_calls` (plus the batching counters and the reduction
+//! ratio) to `BENCH_candidate_reduction.json` at the repository root.
+//! Congruence settlement runs in both. The two configurations must
+//! agree on verdict, final class count and `eqs (%)`: batching changes
+//! which queries run, never the fixed point.
 
 use sec_bench::{make_instance, RunConfig};
 use sec_core::{Backend, Checker, Options, Verdict};
@@ -22,7 +22,6 @@ struct Run {
     rounds: usize,
     classes: usize,
     eqs_percent: f64,
-    strash_merged: u64,
     batched_calls: u64,
     batch_pairs_decoded: u64,
     wall_ms: f64,
@@ -37,7 +36,6 @@ fn measure(spec: &Aig, imp: &Aig, opts: Options) -> Run {
         rounds: r.stats.iterations,
         classes: r.stats.classes,
         eqs_percent: r.stats.eqs_percent,
-        strash_merged: r.stats.strash_merged,
         batched_calls: r.stats.batched_calls,
         batch_pairs_decoded: r.stats.batch_pairs_decoded,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -53,14 +51,12 @@ fn json_run(out: &mut String, name: &str, r: &Run) {
     write!(
         out,
         "    \"{name}\": {{ \"sat_solver_calls\": {}, \"rounds\": {}, \
-         \"classes\": {}, \"eqs_percent\": {:.2}, \"strash_merged\": {}, \
-         \"batched_calls\": {}, \
+         \"classes\": {}, \"eqs_percent\": {:.2}, \"batched_calls\": {}, \
          \"batch_pairs_decoded\": {}, \"wall_ms\": {:.3}, \"verdict\": \"{}\" }}",
         r.solver_calls,
         r.rounds,
         r.classes,
         r.eqs_percent,
-        r.strash_merged,
         r.batched_calls,
         r.batch_pairs_decoded,
         r.wall_ms,
@@ -87,7 +83,6 @@ fn main() {
         let imp = make_instance(entry, &cfg);
 
         let mut off_opts = Options::sat();
-        off_opts.strash = false;
         off_opts.batch_pairs = 0;
         let off = measure(&entry.aig, &imp, off_opts);
         let on = measure(&entry.aig, &imp, Options::sat());

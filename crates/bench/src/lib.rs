@@ -128,9 +128,8 @@ pub struct Row {
 }
 
 /// Runs the proposed method on an instance. SAT rows start from the
-/// [`Options::sat`] preset, so the candidate-set reduction pipeline
-/// (strash + batched queries) is on exactly as for
-/// `sec check --engine sat`.
+/// [`Options::sat`] preset, so batched pair queries are on exactly as
+/// for `sec check --engine sat`.
 pub fn run_proposed(spec: &Aig, imp: &Aig, cfg: &RunConfig) -> MethodResult {
     let base = if cfg.backend == Backend::Sat {
         OptionsBuilder::sat()

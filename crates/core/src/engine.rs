@@ -22,10 +22,9 @@ use crate::sat_backend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sec_netlist::{
-    check as check_circuit, structural_repr, Aig, CheckError, Lit, ProductError, ProductMachine,
-    Side, Var,
+    check as check_circuit, Aig, CheckError, ProductError, ProductMachine, Side, Var,
 };
-use sec_obs::{emit_snapshot, event, Counter, Gauge, Obs, Recorder};
+use sec_obs::{emit_snapshot, event, Counter, Gauge, Recorder};
 use sec_sim::{eval_single, first_output_mismatch, Signatures, Trace};
 use std::fmt;
 use std::sync::Arc;
@@ -247,15 +246,6 @@ impl Checker {
         let mut proven = false;
         let mut retimes = 0usize;
 
-        // Structural collapsing (SAT backend only) shrinks the pair set
-        // before the fixed point.
-        let use_strash = self.opts.backend == Backend::Sat && self.opts.strash;
-        let mut collapsed: Vec<(Var, Lit)> = if use_strash {
-            collapse_struct_equiv(&self.pm.aig, &mut partition, &obs)
-        } else {
-            Vec::new()
-        };
-
         loop {
             let pairs = self.pm.output_pairs.clone();
             let result = match self.opts.backend {
@@ -273,7 +263,6 @@ impl Checker {
                     &self.opts,
                     &deadline,
                     &pairs,
-                    &collapsed,
                 ),
             };
             match result {
@@ -298,18 +287,7 @@ impl Checker {
             obs.add(Counter::RetimeExtensions, 1);
             event!(obs, "retime.extend", added = created.len());
             partition = self.seed_partition(&self.pm.aig);
-            // The re-seeded partition replaces the old one wholesale,
-            // so the collapse is recomputed over the extended netlist.
-            collapsed = if use_strash {
-                collapse_struct_equiv(&self.pm.aig, &mut partition, &obs)
-            } else {
-                Vec::new()
-            };
         }
-        // Re-expand before any reporting: verdicts, `eqs (%)`, class
-        // counts, and the persisted snapshot all describe the full
-        // signal set.
-        reattach_collapsed(&mut partition, &collapsed);
 
         let verdict = if proven {
             Verdict::Equivalent
@@ -348,7 +326,6 @@ impl Checker {
         stats.sat_conflicts = recorder.counter(Counter::SatConflicts);
         stats.sat_solver_constructions = recorder.counter(Counter::SatSolverConstructions) as usize;
         stats.sat_solver_calls = recorder.counter(Counter::SatSolverCalls);
-        stats.strash_merged = recorder.counter(Counter::StrashMerged);
         stats.batched_calls = recorder.counter(Counter::BatchedCalls);
         stats.batch_pairs_decoded = recorder.counter(Counter::BatchPairsDecoded);
         stats.eqs_percent = self.eqs_percent(&partition);
@@ -401,86 +378,15 @@ pub fn correspondence_partition(aig: &Aig, opts: &Options) -> Result<Partition, 
         .with_token(opts.cancel.as_ref())
         .with_progress(opts.progress.as_ref());
     let mut partition = seed_partition(aig, opts);
-    let collapsed: Vec<(Var, Lit)> = if opts.backend == Backend::Sat && opts.strash {
-        collapse_struct_equiv(aig, &mut partition, &opts.obs)
-    } else {
-        Vec::new()
-    };
     let run = match opts.backend {
         Backend::Bdd => {
             bdd_backend::run_fixed_point(aig, &mut partition, opts, &deadline, None, &[])
-                .map(|_| ())
         }
-        Backend::Sat => {
-            sat_backend::run_fixed_point(aig, &mut partition, opts, &deadline, &[], &collapsed)
-                .map(|_| ())
-        }
+        Backend::Sat => sat_backend::run_fixed_point(aig, &mut partition, opts, &deadline, &[]),
     };
     match run {
-        Ok(()) => {
-            reattach_collapsed(&mut partition, &collapsed);
-            Ok(partition)
-        }
+        Ok(_) => Ok(partition),
         Err(abort) => Err(abort.into()),
-    }
-}
-
-/// Collapses structurally equivalent candidates ([`Options::strash`]):
-/// every signal whose canonical cone ([`structural_repr`]) names
-/// another signal as representative is detached from its class before
-/// the fixed point, so it costs no queries, no `Q` clauses, and no
-/// refinement work — the SAT backend asserts the removed equalities as
-/// hard frame-0 clauses instead, which keeps every query and witness
-/// identical to the uncollapsed run's. The returned list drives both
-/// that assertion and the final re-attachment
-/// ([`reattach_collapsed`]); collapsing is skipped defensively for any
-/// signal whose seed class or phase disagrees with the structural
-/// representative (possible only if simulation seeding were unsound,
-/// but cheap to check).
-pub(crate) fn collapse_struct_equiv(
-    aig: &Aig,
-    partition: &mut Partition,
-    obs: &Obs,
-) -> Vec<(Var, Lit)> {
-    let repr = structural_repr(aig);
-    let mut collapsed: Vec<(Var, Lit)> = Vec::new();
-    for v in aig.vars() {
-        let rl = repr[v.index()];
-        let r = rl.var();
-        if r == v {
-            continue;
-        }
-        let (Some(cv), Some(cr)) = (partition.class_of(v), partition.class_of(r)) else {
-            continue;
-        };
-        if cv != cr || partition.phase(v) != (partition.phase(r) ^ rl.is_complemented()) {
-            continue;
-        }
-        if partition.detach(v) {
-            collapsed.push((v, rl));
-        }
-    }
-    obs.add(Counter::StrashMerged, collapsed.len() as u64);
-    if !collapsed.is_empty() {
-        event!(
-            obs,
-            "strash.collapse",
-            merged = collapsed.len(),
-            classes = partition.num_classes()
-        );
-    }
-    collapsed
-}
-
-/// Re-attaches the collapsed signals after the fixed point, next to
-/// their structural representatives with the matching relative phase —
-/// the final partition is then bit-identical to an uncollapsed run's
-/// (the representative was refined on behalf of all its members, and
-/// the hard structural-equality clauses made every query equivalent).
-pub(crate) fn reattach_collapsed(partition: &mut Partition, collapsed: &[(Var, Lit)]) {
-    for &(v, rl) in collapsed {
-        let r = rl.var();
-        partition.attach(v, r, partition.phase(r) ^ rl.is_complemented());
     }
 }
 

@@ -114,18 +114,6 @@ pub struct Options {
     /// misreading the budgeted query as "unsatisfiable". `None` means
     /// no budget.
     pub sat_conflict_budget: Option<u64>,
-    /// Layer 1 of the candidate-set reduction pipeline (SAT backend
-    /// only): collapse structurally bisimilar signals
-    /// ([`sec_netlist::structural_repr`]) into one class member each
-    /// before the fixed point starts. The removed `member =
-    /// representative` equalities are re-asserted as permanent frame-0
-    /// clauses in the solver, so the constraint set every query runs
-    /// under is unchanged and the final partition (after the members
-    /// are re-attached) is bit-identical to a run without collapsing —
-    /// only the per-round pair enumeration shrinks. Counted by the
-    /// `strash_merged` counter. Off in [`Options::paper`], on in
-    /// [`Options::sat`].
-    pub strash: bool,
     /// Layer 3 of the reduction pipeline (SAT backend only): batch up
     /// to this many candidate-pair equality queries into one
     /// incremental solver call under a single assumption set. A batch
@@ -185,7 +173,6 @@ impl Default for Options {
             sat_incremental: true,
             sat_amplify_words: 1,
             sat_conflict_budget: None,
-            strash: false,
             batch_pairs: 0,
             sim_refute: true,
             cancel: None,
@@ -205,12 +192,10 @@ impl Options {
     }
 
     /// SAT-backend configuration: an incremental solver,
-    /// amplification on, and the candidate-set reduction pipeline
-    /// enabled (structural collapsing and batched queries).
+    /// amplification on, and batched pair queries enabled.
     pub fn sat() -> Options {
         Options {
             backend: Backend::Sat,
-            strash: true,
             batch_pairs: 32,
             ..Options::default()
         }
@@ -356,9 +341,6 @@ impl OptionsBuilder {
         sat_amplify_words: usize,
         /// Sets the per-query conflict budget of the incremental mode.
         sat_conflict_budget: Option<u64>,
-        /// Enables/disables structural collapsing of bisimilar signals
-        /// before the fixed point (see [`Options::strash`]).
-        strash: bool,
         /// Sets the batched-query width in pairs (`0`/`1` = per-pair
         /// queries; see [`Options::batch_pairs`]).
         batch_pairs: usize,
@@ -399,8 +381,7 @@ mod tests {
         assert_eq!(o.backend, Backend::Sat);
         assert!(o.sat_incremental);
         assert!(o.sat_amplify_words > 0);
-        // The reduction pipeline is on for the SAT preset…
-        assert!(o.strash);
+        // Batched queries are on for the SAT preset…
         assert!(o.batch_pairs > 1);
     }
 
@@ -417,7 +398,6 @@ mod tests {
         // …and off everywhere else, so the paper-faithful and ablation
         // configurations keep the original per-pair behaviour.
         for o in [Options::paper(), Options::sat_monolithic()] {
-            assert!(!o.strash);
             assert_eq!(o.batch_pairs, 0);
         }
     }

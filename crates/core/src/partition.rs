@@ -296,54 +296,6 @@ impl Partition {
         changed
     }
 
-    /// Removes a tracked signal from its class, leaving it untracked:
-    /// no query will enumerate it and no refinement will move it.
-    /// Refuses (returns `false`) when `v` is untracked or the sole
-    /// member of its class — classes stay non-empty, so every class
-    /// keeps a representative.
-    ///
-    /// This is the collapse half of structural-hashing reduction
-    /// ([`Options::strash`](crate::Options::strash)): a signal proven
-    /// structurally bisimilar to a co-classed representative is
-    /// detached before the fixed point and re-attached
-    /// ([`Partition::attach`]) once it completes, so the fixed point
-    /// never spends queries on it but the final relation still names
-    /// it.
-    pub fn detach(&mut self, v: Var) -> bool {
-        let Some(ci) = self.class_of(v) else {
-            return false;
-        };
-        if self.classes[ci].len() < 2 {
-            return false;
-        }
-        let pos = self.classes[ci]
-            .iter()
-            .position(|&m| m == v)
-            .expect("class_of and classes agree");
-        self.classes[ci].remove(pos);
-        self.class_of[v.index()] = UNTRACKED;
-        true
-    }
-
-    /// Attaches an untracked signal to the class of `to`, with the
-    /// given reference-point phase. The re-expand half of
-    /// [`Partition::detach`]: `phase` must be the detached signal's
-    /// true reference-point value (for a structural antivalence,
-    /// `to`'s phase complemented), so [`Partition::lit_equiv`] and the
-    /// snapshot see exactly the relation a run without collapsing
-    /// would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is still tracked or `to` is not.
-    pub fn attach(&mut self, v: Var, to: Var, phase: bool) {
-        assert!(self.class_of(v).is_none(), "attach of a tracked signal");
-        let ci = self.class_of(to).expect("attach target is tracked");
-        self.class_of[v.index()] = ci as u32;
-        self.phase[v.index()] = phase;
-        self.classes[ci].push(v);
-    }
-
     /// Adds freshly created signals as one new class each (used after the
     /// retiming extension before re-seeding).
     pub fn grow(&mut self, num_nodes: usize, new_signals: &[(Var, bool)]) {
@@ -546,27 +498,6 @@ mod tests {
         assert_ne!(p.class_of(v(1)), p.class_of(v(2)));
         assert_eq!(p.class_of(v(1)), p.class_of(v(3)));
         assert!(!p.split_class_by_key(0, |_| 0));
-    }
-
-    #[test]
-    fn detach_and_attach_roundtrip() {
-        let mut p = sample();
-        assert!(p.detach(v(2)));
-        assert_eq!(p.class_of(v(2)), None);
-        assert_eq!(p.class(1), &[v(1), v(3)]);
-        assert_eq!(p.num_signals(), 5);
-        // Untracked and singleton members refuse to detach.
-        assert!(!p.detach(v(2)));
-        assert!(!p.detach(v(0)));
-        // Re-attach with the original phase restores the relation.
-        p.attach(v(2), v(3), false);
-        assert_eq!(p.class_of(v(2)), Some(1));
-        assert!(p.lit_equiv(v(1).lit(), !v(2).lit()));
-        assert_eq!(
-            p.canonical_classes(),
-            sample().canonical_classes(),
-            "round-trip is relation-identical"
-        );
     }
 
     #[test]

@@ -61,10 +61,6 @@ pub struct CheckStats {
     pub sat_solver_constructions: usize,
     /// Individual SAT solve calls across all constructed solvers.
     pub sat_solver_calls: u64,
-    /// Candidate signals collapsed onto a structural-bisimulation
-    /// representative before the fixed point (the `strash_merged`
-    /// counter; [`Options::strash`](crate::Options::strash)).
-    pub strash_merged: u64,
     /// Batched pair-equality solver calls (the `batched_calls`
     /// counter; [`Options::batch_pairs`](crate::Options::batch_pairs)).
     pub batched_calls: u64,

@@ -102,7 +102,6 @@ pub fn to_json(stats: &CheckStats) -> String {
         .u64("sat_conflicts", stats.sat_conflicts)
         .usize("sat_solver_constructions", stats.sat_solver_constructions)
         .u64("sat_solver_calls", stats.sat_solver_calls)
-        .u64("strash_merged", stats.strash_merged)
         .u64("batched_calls", stats.batched_calls)
         .u64("batch_pairs_decoded", stats.batch_pairs_decoded)
         .f64("eqs_percent", stats.eqs_percent, 1)

@@ -11,11 +11,9 @@
 //! equal values on every reachable state (the relation's defining
 //! invariant).
 
-use crate::context::Deadline;
-use crate::engine::{collapse_struct_equiv, reattach_collapsed, seed_partition};
-use crate::options::{Backend, Options};
-use crate::{bdd_backend, sat_backend};
-use sec_netlist::{check as check_circuit, Aig, CheckError, Lit, Node, Var};
+use crate::engine::correspondence_partition;
+use crate::options::Options;
+use sec_netlist::{check as check_circuit, Aig, CheckError, Lit, Node};
 use sec_obs::{emit_snapshot, Counter, Recorder};
 use std::sync::Arc;
 
@@ -43,8 +41,8 @@ pub struct SweepStats {
 /// and constant registers), returning the reduced circuit. The result is
 /// sequentially equivalent to the input from its initial state.
 ///
-/// On resource exhaustion the original circuit is returned unchanged
-/// (`stats.gave_up` set).
+/// When the fixed point aborts (resources, timeout or cancellation) the
+/// original circuit is returned unchanged (`stats.gave_up` set).
 ///
 /// # Errors
 ///
@@ -80,37 +78,21 @@ pub fn sequential_sweep(aig: &Aig, opts: &Options) -> Result<(Aig, SweepStats), 
         latches_before: aig.num_latches(),
         ..SweepStats::default()
     };
-    let deadline = Deadline::new(opts.timeout);
     // Local recorder tee so the iteration count comes from the same
     // `rounds` counter every other consumer of the backends uses.
     let recorder = Recorder::new();
     let mut opts = opts.clone();
     opts.obs = opts.obs.and_sink(Arc::new(recorder.clone()));
-    let opts = &opts;
-    let mut partition = seed_partition(aig, opts);
-    let collapsed: Vec<(Var, Lit)> = if opts.backend == Backend::Sat && opts.strash {
-        collapse_struct_equiv(aig, &mut partition, &opts.obs)
-    } else {
-        Vec::new()
-    };
-    let fixed_point = match opts.backend {
-        Backend::Bdd => {
-            bdd_backend::run_fixed_point(aig, &mut partition, opts, &deadline, None, &[])
-        }
-        Backend::Sat => {
-            sat_backend::run_fixed_point(aig, &mut partition, opts, &deadline, &[], &collapsed)
-        }
-    };
-    reattach_collapsed(&mut partition, &collapsed);
+    let fixed_point = correspondence_partition(aig, &opts);
     stats.iterations = recorder.counter(Counter::Rounds) as usize;
     // Terminal snapshot so a trace of the sweep is self-contained.
     emit_snapshot(&opts.obs, &recorder, "sweep");
-    if fixed_point.is_err() {
+    let Ok(partition) = fixed_point else {
         stats.gave_up = true;
         stats.ands_after = stats.ands_before;
         stats.latches_after = stats.latches_before;
         return Ok((aig.clone(), stats));
-    }
+    };
 
     // Rebuild, redirecting every non-representative signal to its class
     // representative (polarity-adjusted). Representatives are the

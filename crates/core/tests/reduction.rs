@@ -1,15 +1,14 @@
 //! The candidate-set reduction pipeline must be invisible in the
 //! result.
 //!
-//! Structural collapsing (`strash`) and batched pair queries
-//! (`batch_pairs`) each change which solver queries run — never what
-//! the fixed point is. Every counterexample-guided split (amplified or
-//! batch-decoded) preserves "the true correspondence refines the
-//! current partition", and a run only terminates at a certified
-//! no-split sweep, so the partition reached is the unique coarsest
-//! inductive one refining the seed. These tests pin that down: every
-//! knob combination must land on the exact partition and verdict the
-//! pipeline-off configuration computes.
+//! Batched pair queries (`batch_pairs`) change which solver queries
+//! run — never what the fixed point is. Every counterexample-guided
+//! split (amplified or batch-decoded) preserves "the true
+//! correspondence refines the current partition", and a run only
+//! terminates at a certified no-split sweep, so the partition reached
+//! is the unique coarsest inductive one refining the seed. These tests
+//! pin that down: every batch width must land on the exact partition
+//! and verdict the batching-off configuration computes.
 
 use sec_core::{correspondence_partition, Checker, Options, OptionsBuilder, Partition, Verdict};
 use sec_gen::{counter, mixed, CounterKind};
@@ -23,8 +22,8 @@ fn fingerprint(aig: &Aig, p: &Partition) -> (Vec<Vec<Var>>, Vec<bool>) {
     (p.canonical_classes(), phases)
 }
 
-/// Pairs with real structural sharing (so `strash` collapses
-/// something) and enough rounds for the batches to matter.
+/// Pairs with real structural sharing and enough rounds for the
+/// batches to matter.
 fn pairs() -> Vec<(Aig, Aig)> {
     vec![
         {
@@ -45,22 +44,11 @@ fn pairs() -> Vec<(Aig, Aig)> {
     ]
 }
 
-/// Every knob combination: strash × batch.
-fn knob_grid() -> Vec<(bool, usize)> {
-    let mut grid = Vec::new();
-    for strash in [false, true] {
-        for batch in [0usize, 2, 32] {
-            grid.push((strash, batch));
-        }
-    }
-    grid
-}
+/// Every batch width: off, the smallest batch, the `sat()` preset's.
+const BATCHES: [usize; 3] = [0, 2, 32];
 
-fn opts_with(strash: bool, batch: usize) -> Options {
-    OptionsBuilder::sat()
-        .strash(strash)
-        .batch_pairs(batch)
-        .build()
+fn opts_with(batch: usize) -> Options {
+    OptionsBuilder::sat().batch_pairs(batch).build()
 }
 
 #[test]
@@ -68,15 +56,14 @@ fn pipeline_knobs_never_change_the_fixed_point() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
         let pm = ProductMachine::build(&spec, &imp).unwrap().aig;
         // Reference: everything off.
-        let reference = correspondence_partition(&pm, &opts_with(false, 0)).unwrap();
+        let reference = correspondence_partition(&pm, &opts_with(0)).unwrap();
         let want = fingerprint(&pm, &reference);
-        for (strash, batch) in knob_grid() {
-            let got = correspondence_partition(&pm, &opts_with(strash, batch)).unwrap();
+        for batch in BATCHES {
+            let got = correspondence_partition(&pm, &opts_with(batch)).unwrap();
             assert_eq!(
                 fingerprint(&pm, &got),
                 want,
-                "pair {i}: strash={strash} batch={batch} \
-                 diverged from the pipeline-off fixed point"
+                "pair {i}: batch={batch} diverged from the pipeline-off fixed point"
             );
         }
     }
@@ -85,25 +72,18 @@ fn pipeline_knobs_never_change_the_fixed_point() {
 #[test]
 fn pipeline_knobs_never_change_verdict_or_partition_summary() {
     for (i, (spec, imp)) in pairs().into_iter().enumerate() {
-        let baseline = Checker::new(&spec, &imp, opts_with(false, 0))
-            .unwrap()
-            .run();
+        let baseline = Checker::new(&spec, &imp, opts_with(0)).unwrap().run();
         assert_eq!(baseline.verdict, Verdict::Equivalent, "pair {i}");
-        for (strash, batch) in knob_grid() {
-            let r = Checker::new(&spec, &imp, opts_with(strash, batch))
-                .unwrap()
-                .run();
-            assert_eq!(
-                r.verdict, baseline.verdict,
-                "pair {i}: strash={strash} batch={batch}"
-            );
+        for batch in BATCHES {
+            let r = Checker::new(&spec, &imp, opts_with(batch)).unwrap().run();
+            assert_eq!(r.verdict, baseline.verdict, "pair {i}: batch={batch}");
             assert_eq!(
                 r.stats.classes, baseline.stats.classes,
-                "pair {i}: strash={strash} batch={batch}"
+                "pair {i}: batch={batch}"
             );
             assert_eq!(
                 r.stats.eqs_percent, baseline.stats.eqs_percent,
-                "pair {i}: strash={strash} batch={batch}"
+                "pair {i}: batch={batch}"
             );
         }
     }
@@ -117,12 +97,8 @@ fn full_pipeline_cuts_solver_calls_on_a_shared_structure_pair() {
     // 10x bound, this test keeps a coarser floor in the tier-1 suite.
     let spec = mixed(14, 5);
     let imp = unshare_latch_cones(&spec, 0.9, 4);
-    let off = Checker::new(&spec, &imp, opts_with(false, 0))
-        .unwrap()
-        .run();
-    let on = Checker::new(&spec, &imp, opts_with(true, 32))
-        .unwrap()
-        .run();
+    let off = Checker::new(&spec, &imp, opts_with(0)).unwrap().run();
+    let on = Checker::new(&spec, &imp, opts_with(32)).unwrap().run();
     assert_eq!(on.verdict, off.verdict);
     assert!(
         on.stats.sat_solver_calls * 2 <= off.stats.sat_solver_calls,
@@ -130,6 +106,5 @@ fn full_pipeline_cuts_solver_calls_on_a_shared_structure_pair() {
         on.stats.sat_solver_calls,
         off.stats.sat_solver_calls
     );
-    assert!(on.stats.strash_merged > 0, "nothing collapsed");
     assert!(on.stats.batched_calls > 0, "nothing batched");
 }

@@ -44,7 +44,6 @@ mod fingerprint;
 mod literal;
 mod load;
 pub mod product;
-mod strash;
 
 pub use aig::{Aig, Node, Output};
 pub use aiger::{
@@ -57,4 +56,3 @@ pub use fingerprint::{ordered_digest, structural_fingerprint, Fingerprint};
 pub use literal::{Lit, Var};
 pub use load::{load_model, load_model_bytes, ParseError};
 pub use product::{align_interface_by_name, ProductError, ProductMachine, Side};
-pub use strash::structural_repr;

@@ -213,11 +213,6 @@ counters! {
         /// first satisfiable query, so this is one per round that
         /// refined the partition.
         WorkerCexes => "worker_cexes",
-        /// Candidate signals collapsed onto a structural-bisimulation
-        /// representative before the fixed point started
-        /// (`Options::strash`); they rejoin their representative's
-        /// class at the end without ever costing a solver query.
-        StrashMerged => "strash_merged",
         /// Batched pair-equality queries issued
         /// (`Options::batch_pairs`): one solver call covering several
         /// candidate pairs under one assumption set.

@@ -1302,7 +1302,6 @@ fn run_job(state: &Arc<State>, job: &Job, worker: usize, recorder: &Recorder) {
         }
     };
     drop(running_guard);
-    let run_us = start.elapsed().as_micros() as u64;
 
     let (label, reason, cex) = verdict_label(&verdict);
     if !job.no_cache && label != "unknown" {
@@ -1337,6 +1336,9 @@ fn run_job(state: &Arc<State>, job: &Job, worker: usize, recorder: &Recorder) {
         fields.push(("eqs_percent", Value::from(stats.eqs_percent)));
         fields.push(("rounds", Value::from(stats.iterations as u64)));
     }
+    // `run` covers the cache store and the result fields too, so no
+    // daemon time falls between the `req.*` phases.
+    let run_us = start.elapsed().as_micros() as u64;
     finish_job(state, job, worker, fields, label, start, run_us);
 }
 

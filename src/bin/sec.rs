@@ -50,9 +50,8 @@ fn usage() -> ! {
          sec check <spec> <impl> [--engine bdd|sat|portfolio] [--scope all|regs]\n           \
          [--no-sim-seed] [--no-funcdep] [--approx-reach] [--retime-rounds N]\n           \
          [--timeout SECS] [--engine-timeout SECS] [--node-limit N]\n           \
-         [--bmc-depth N] [--seed N] [--no-strash]\n           \
-         [--batch-pairs N] [--json] [--stats]\n           \
-         [--trace-json FILE] [--progress[=SECS]]\n  \
+         [--bmc-depth N] [--seed N] [--batch-pairs N]\n           \
+         [--json] [--stats] [--trace-json FILE] [--progress[=SECS]]\n  \
          sec info <circuit>\n  \
          sec optimize <in> <out> [--seed N] [--retime-only]\n  \
          sec sweep <in> <out> [--backend bdd|sat]\n  \
@@ -241,10 +240,9 @@ fn cmd_check(args: &[String]) {
     let mut opts = Options::default();
     let mut engine = CheckEngine::Solo;
     let mut engine_timeout: Option<Duration> = None;
-    // Reduction-pipeline knobs: the SAT preset decides the defaults
-    // after flag parsing (flags may precede `--engine sat`), explicit
-    // flags override the preset.
-    let mut strash_override: Option<bool> = None;
+    // The batching knob: the SAT preset decides the default after flag
+    // parsing (flags may precede `--engine sat`), an explicit flag
+    // overrides the preset.
     let mut batch_pairs_override: Option<usize> = None;
     let mut json = false;
     let mut show_stats = false;
@@ -341,7 +339,6 @@ fn cmd_check(args: &[String]) {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--no-strash" => strash_override = Some(false),
             "--batch-pairs" => {
                 batch_pairs_override = Some(
                     take_value(args, &mut i, "--batch-pairs")
@@ -356,15 +353,10 @@ fn cmd_check(args: &[String]) {
         }
         i += 1;
     }
-    // The SAT engine runs with the candidate-set reduction pipeline of
-    // `Options::sat()`; explicit knob flags win either way.
+    // The SAT engine batches pair queries as `Options::sat()` does;
+    // an explicit `--batch-pairs` wins either way.
     if opts.backend == Backend::Sat {
-        let sat = Options::sat();
-        opts.strash = sat.strash;
-        opts.batch_pairs = sat.batch_pairs;
-    }
-    if let Some(v) = strash_override {
-        opts.strash = v;
+        opts.batch_pairs = Options::sat().batch_pairs;
     }
     if let Some(v) = batch_pairs_override {
         opts.batch_pairs = v;
