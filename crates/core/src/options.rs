@@ -115,16 +115,18 @@ pub struct Options {
     /// no budget.
     pub sat_conflict_budget: Option<u64>,
     /// Layer 3 of the reduction pipeline (SAT backend only): batch up
-    /// to this many candidate-pair equality queries into one
-    /// incremental solver call under a single assumption set. A batch
-    /// literal `b` with the clause `¬b ∨ d₁ ∨ … ∨ dₖ` over the pairs'
-    /// cached difference literals asks the solver for *any* pair the
-    /// current correspondence condition fails to prove; `Unsat` proves
-    /// all `k` pairs at once; `Sat` yields the round's witness, and its
-    /// model says which pairs it separates (`batch_pairs_decoded`).
-    /// `0` or `1` keeps the per-pair query path. Batched calls are
-    /// counted by `batched_calls`. Off in [`Options::paper`], on
-    /// in [`Options::sat`].
+    /// to this many candidate-pair equality queries, in every round and
+    /// in the exact `T0`, into one incremental solver call under a
+    /// single assumption set. A batch literal `b` with the clause
+    /// `¬b ∨ d₁ ∨ … ∨ dₖ` over the pairs' cached difference literals
+    /// asks the solver for *any* pair the current correspondence
+    /// condition fails to prove; `Unsat` proves all `k` pairs at once;
+    /// `Sat` yields a witness, and its model says which pairs it
+    /// separates (`batch_pairs_decoded`). A one-pair batch is a plain
+    /// query on its difference literal, so `0` and `1` run the same
+    /// per-pair queries. Calls on two or more pairs are counted by
+    /// `batched_calls`. Off in [`Options::paper`], on in
+    /// [`Options::sat`].
     pub batch_pairs: usize,
     /// Refute cheaply by lockstep random simulation before the fixed
     /// point (and use simulation counterexamples found during seeding).

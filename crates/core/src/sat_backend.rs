@@ -14,13 +14,16 @@
 //! * an **initial frame** over its own inputs `x_I` with the registers
 //!   tied to their initial values (condition 1 of Definition 2).
 //!
-//! **One solver, one round at a time.** Van Eijk's fixed point is
-//! sequential across rounds — `T_{i+1}` is computed under `Q_{T_i}` —
-//! so [`run_fixed_point`] runs every refinement round as one sweep of
-//! the candidate pairs over a single solver on the calling thread. A
-//! round ends at its first witness, which refines the partition; a
-//! round without one is a certified full sweep, so the partition is the
-//! fixed point.
+//! **Condition 1 once, then one solver, one round at a time.** As in
+//! the paper, condition 1 is settled once: [`refine_t0`] computes the
+//! exact `T0` (Eq. 2) on the initial frame before round 1, and the
+//! rounds query condition 2 only. Van Eijk's fixed point is sequential
+//! across rounds — `T_{i+1}` is computed under `Q_{T_i}` — so
+//! [`run_fixed_point`] runs every refinement round as one sweep of the
+//! candidate pairs over a single solver on the calling thread. A round
+//! ends at its first witness, which refines the partition; a round
+//! without one is a certified full sweep, so the partition is the fixed
+//! point.
 //!
 //! **Incremental mode** (default): the solver persists across every
 //! refinement round. `Q_{T_i}` is never asserted as hard clauses: each
@@ -43,9 +46,9 @@
 //! A per-query conflict budget (off by default) bounds how much a
 //! persistent solver may thrash on one query; on exhaustion the run
 //! drops the budget, switches to rebuild mode, and redoes the round
-//! from the round-start partition, which is sound because every split
-//! already applied is justified. A budgeted or interrupted query is
-//! never read as "unsatisfiable".
+//! from the round-start partition (or `T0` from the current one), which
+//! is sound because every split already applied is justified. A
+//! budgeted or interrupted query is never read as "unsatisfiable".
 //!
 //! Satisfiable queries yield a witness `(s, x_t, x_{t+1})` that is
 //! **amplified**: packed with bit-flipped neighbour patterns into one
@@ -262,6 +265,41 @@ fn query(solver: &mut Solver, assumptions: &[SatLit], obs: &Obs) -> Result<Query
     }
 }
 
+/// Asks whether any pair of a batch can differ, given the pairs'
+/// difference literals `ds` and the sweep's assumptions `assume` (a
+/// round's activation literal; none for `T0`). A batch of two or more
+/// pairs gets one fresh batch literal `b`, the clause
+/// `b → (d₁ ∨ … ∨ d_k)` and `b` as one more assumption, and `b` is
+/// retired with the unit `¬b` afterwards: **Unsat** proves all `k`
+/// pairs at once, because the assumption set is a one-pair query's plus
+/// `b`. A one-pair batch is a plain query on its difference literal.
+/// After **Sat** the model says which pairs the witness separates.
+fn query_batch(
+    solver: &mut Solver,
+    assume: &[SatLit],
+    ds: &[SatLit],
+    obs: &Obs,
+) -> Result<Query, Abort> {
+    let mut assumptions = assume.to_vec();
+    if let [d] = ds {
+        assumptions.push(*d);
+        return query(solver, &assumptions, obs);
+    }
+    let b = solver.new_var().positive();
+    let mut clause = vec![!b];
+    clause.extend_from_slice(ds);
+    solver.add_clause(&clause);
+    obs.add(Counter::BatchedCalls, 1);
+    assumptions.push(b);
+    let answer = query(solver, &assumptions, obs);
+    solver.add_clause(&[!b]);
+    if let Ok(Query::Sat) = answer {
+        let separated = ds.iter().filter(|&&d| solver.model_value(d)).count();
+        obs.add(Counter::BatchPairsDecoded, separated as u64);
+    }
+    answer
+}
+
 /// Refines the partition by one frame pair of an amplified witness:
 /// each pattern whose `frame0` values satisfy the *current*
 /// correspondence condition splits by its `frame1` values. Returns the
@@ -411,45 +449,20 @@ fn close_round(
     sp.record("frames", frames);
 }
 
-/// The deterministic per-query amplification seed of a candidate
-/// pair's counterexample — a function of the round number and the
-/// pair's canonical sequence number only, never of the scan order, so
+/// The deterministic per-query amplification seed of a witness — a
+/// function of the round number (0 for `T0`) and the canonical sequence
+/// number of the pair it refutes only, never of the scan order, so
 /// hot-first ordering and the rotating cold cursor never change which
 /// patterns a witness is amplified with.
-fn cex_seed(opts_seed: u64, round: usize, seq: u64, init: bool) -> u64 {
+fn cex_seed(opts_seed: u64, round: usize, seq: u64) -> u64 {
     let query_seq = (round as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add((seq + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    opts_seed
-        ^ if init {
-            query_seq.wrapping_add(1)
-        } else {
-            query_seq
-        }
-}
-
-/// The input assignment a witness carries.
-enum CexKind {
-    /// Condition-2 witness `(s, x_t, x_{t+1})`.
-    TwoFrame {
-        s: Vec<bool>,
-        xt: Vec<bool>,
-        xt1: Vec<bool>,
-    },
-    /// Condition-1 witness `x_I`.
-    Init { xi: Vec<bool> },
-}
-
-/// A round's witness, keyed by the canonical sequence number of the
-/// pair whose query produced it.
-struct Witness {
-    seq: u64,
-    kind: CexKind,
+    opts_seed ^ query_seq
 }
 
 /// The run's one solver — persistent across rounds in incremental
-/// mode, re-cloned from the base encoding every round in rebuild mode —
-/// plus the cross-round condition-1 cache.
+/// mode, re-cloned from the base encoding every round in rebuild mode.
 struct RoundSolver {
     u: Unrolling,
     meter: SatMeter,
@@ -457,43 +470,33 @@ struct RoundSolver {
     /// of the next round (or left active for the final Theorem-1
     /// check).
     prev_act: Option<SatLit>,
-    /// Pairs proven equal on the initial frame. The initial-frame
-    /// unrolling is a subgraph disjoint from frame 0, so the round's
-    /// `Q` (frame-0 equalities) cannot influence the condition-1 query:
-    /// once unsatisfiable, it is unsatisfiable in every later round and
-    /// never needs re-running. Keyed by the normalized `(member,
-    /// representative)` pair — a split that gives `m` a new
-    /// representative makes a new key and re-proves.
-    init_eq: HashSet<(Var, Var)>,
 }
 
 impl RoundSolver {
-    /// A solver over `u`, counted in `sat_solver_constructions`.
-    fn new(mut u: Unrolling, budget: Option<u64>, obs: &Obs) -> RoundSolver {
+    /// A solver over `u` under the run's limits, counted in
+    /// `sat_solver_constructions`.
+    fn new(mut u: Unrolling, budget: Option<u64>, deadline: &Deadline, obs: &Obs) -> RoundSolver {
         obs.add(Counter::SatSolverConstructions, 1);
         u.solver.set_obs(obs.clone());
         u.solver.set_conflict_budget(budget);
+        u.solver.set_limits(deadline.limits());
         RoundSolver {
             u,
             meter: SatMeter::new(obs),
             prev_act: None,
-            init_eq: HashSet::new(),
         }
     }
 
     /// Rebuild mode: takes over `fresh`'s solver, flushing the retired
-    /// solver's totals first. The condition-1 cache survives — a
-    /// proof on the initial frame holds in every solver.
+    /// solver's totals first.
     fn replace_solver(&mut self, fresh: RoundSolver) {
         self.meter.flush(&self.u.solver);
-        let init_eq = std::mem::take(&mut self.init_eq);
-        *self = RoundSolver { init_eq, ..fresh };
+        *self = fresh;
     }
 
     /// Opens a round: retracts the last round's `Q` and asserts this
     /// round's behind a fresh activation literal, which it returns.
-    fn start_round(&mut self, partition: &Partition, deadline: &Deadline) -> SatLit {
-        self.u.solver.set_limits(deadline.limits());
+    fn start_round(&mut self, partition: &Partition) -> SatLit {
         if let Some(prev) = self.prev_act.take() {
             self.u.solver.add_clause(&[!prev]);
             // Reclaim the retracted clauses; a persistent solver would
@@ -661,351 +664,219 @@ impl Congruence {
     }
 }
 
-/// The static dependency structure behind hot-first pair scheduling.
-///
-/// A condition-2 query compares the pair's *frame-1* values, whose
-/// two-frame cone reaches frame 0 only through the next-state
-/// functions of the latches in the pair's structural cone. A split is
-/// therefore most likely to make a pair `(m, r)` refutable when some
-/// member of a refined class lies inside the frame-0 cone of one of
-/// those next-state functions, so such pairs are scanned first. This
-/// is a scan-order heuristic, not a proof: `Q` constrains frame 0 as a
-/// whole, so splitting a class outside a pair's cones can make the pair
-/// refutable too. With `next(z) = p`, `next(w) = q` and a class
-/// `{a, b}` where `a = p ⊕ x` and `b = q ⊕ x`, `a ≡ b` forces `p = q`
-/// and so proves `(z, w)`; splitting `{a, b}` makes `(z, w)` refutable
-/// although neither `a` nor `b` feeds a next-state function. Cold pairs
-/// are therefore still queried every round, only later.
-///
-/// Both sides are precomputed once per run as latch-indexed bitsets:
-/// `latch_cone[v]` (which latches the value of `v` structurally reads)
-/// and `influences[v]` (which latches' next-state cones contain `v`).
-/// Per round, the driver ORs `influences` over the members of every
-/// class the previous merge touched into a hot-latch set, and a pair
-/// is hot iff its latch cone intersects it — two bitset words deep,
-/// cheap enough to test for every pair every round.
-struct DepMap {
-    words: usize,
-    latch_cone: Vec<u64>,
-    influences: Vec<u64>,
-}
-
-impl DepMap {
-    fn build(aig: &Aig) -> DepMap {
-        let n_latches = aig.num_latches();
-        let n_vars = aig.num_nodes();
-        let words = n_latches.div_ceil(64).max(1);
-        let ordinal: HashMap<Var, usize> = aig
-            .latches()
-            .iter()
-            .enumerate()
-            .map(|(k, &l)| (l, k))
-            .collect();
-        // Latch cones, one topological pass (fanins precede gates).
-        let mut latch_cone = vec![0u64; n_vars * words];
-        for v in aig.vars() {
-            let i = v.index();
-            if let Some(&k) = ordinal.get(&v) {
-                latch_cone[i * words + k / 64] |= 1u64 << (k % 64);
-            } else if aig.is_and(v) {
-                let (a, b) = aig.and_fanins(v);
-                let (ai, bi) = (a.var().index(), b.var().index());
-                for w in 0..words {
-                    latch_cone[i * words + w] =
-                        latch_cone[ai * words + w] | latch_cone[bi * words + w];
-                }
-            }
-        }
-        // Reverse next-state cones: mark latch `k` on every var its
-        // next-state function structurally reads (stopping at frame-0
-        // leaves: inputs and latch outputs stay, unexpanded).
-        let mut influences = vec![0u64; n_vars * words];
-        let mut stamp = vec![u32::MAX; n_vars];
-        let mut stack: Vec<Var> = Vec::new();
-        for (k, &l) in aig.latches().iter().enumerate() {
-            let Some(next) = aig.latch_next(l) else {
-                continue;
-            };
-            stack.push(next.var());
-            while let Some(v) = stack.pop() {
-                let i = v.index();
-                if stamp[i] == k as u32 {
-                    continue;
-                }
-                stamp[i] = k as u32;
-                influences[i * words + k / 64] |= 1u64 << (k % 64);
-                if aig.is_and(v) {
-                    let (a, b) = aig.and_fanins(v);
-                    stack.push(a.var());
-                    stack.push(b.var());
-                }
-            }
-        }
-        DepMap {
-            words,
-            latch_cone,
-            influences,
-        }
-    }
-
-    /// ORs `influences[v]` into the hot-latch accumulator.
-    fn mark_hot(&self, v: Var, hot_latches: &mut [u64]) {
-        let i = v.index() * self.words;
-        for (w, h) in hot_latches.iter_mut().enumerate() {
-            *h |= self.influences[i + w];
-        }
-    }
-
-    /// Does refining any hot latch's cone reach this pair's frame-1
-    /// values?
-    fn depends(&self, m: Var, r: Var, hot_latches: &[u64]) -> bool {
-        let (im, ir) = (m.index() * self.words, r.index() * self.words);
-        hot_latches
-            .iter()
-            .enumerate()
-            .any(|(w, &h)| (self.latch_cone[im + w] | self.latch_cone[ir + w]) & h != 0)
-    }
-}
-
-/// Everything one round's sweep reads but never writes.
-struct RoundCtx<'a> {
-    partition: &'a Partition,
-    /// [`Congruence::settled`]: the pairs whose condition-2 query is
-    /// skipped.
-    settled: &'a [bool],
-    opts: &'a Options,
-    round: usize,
-    obs: &'a Obs,
-}
-
-/// Why a round's sweep ended before it certified every pair.
+/// Why a sweep ended before it certified every pair.
 enum SweepEnd {
-    /// A query was satisfiable: the round's one witness.
-    Witness(Witness),
+    /// A query was satisfiable: the lowest canonical `seq` among the
+    /// pairs the solver's model, the witness, separates.
+    Sat(u64),
     /// A query exhausted the per-query conflict budget.
     Budget,
     /// External cancellation, timeout, or resource limit.
     Abort(Abort),
 }
 
-/// One round's sweep state: the round's activation literal, its query
-/// count, and the run's heartbeat ticker.
+/// One sweep's state: which condition it queries under which
+/// assumptions, its query count, and the run's heartbeat ticker.
 struct Sweep<'t> {
-    act: SatLit,
+    /// Condition 1 on the initial frame (`T0`), or condition 2 on
+    /// frame 1 (a round).
+    init: bool,
+    /// The round's activation literal, assumed by every condition-2
+    /// query; none for `T0`, whose initial frame `Q` never reaches.
+    act: Option<SatLit>,
+    /// The round number, 0 for `T0`.
+    round: usize,
     queries: u64,
     ticker: &'t mut ProgressTicker,
 }
 
 impl Sweep<'_> {
-    /// The heartbeat, polled between chunks and between queries: a
-    /// `progress` event with the round, the live class count, and the
-    /// solver's conflicts, so a single long round still reports at the
-    /// configured interval.
-    fn heartbeat(&mut self, rs: &RoundSolver, ctx: &RoundCtx) {
+    /// The heartbeat, polled between batches: a `progress` event with
+    /// the round, the live class count, and the solver's conflicts, so
+    /// a single long round still reports at the configured interval.
+    fn heartbeat(&mut self, solver: &Solver, partition: &Partition, obs: &Obs) {
         if self.ticker.ready() {
             event!(
-                ctx.obs,
+                obs,
                 "progress",
-                round = ctx.round,
-                classes = ctx.partition.num_classes(),
-                conflicts = rs.u.solver.stats().conflicts,
+                round = self.round,
+                classes = partition.num_classes(),
+                conflicts = solver.stats().conflicts,
                 elapsed_ms = self.ticker.elapsed_ms()
             );
         }
     }
 
-    /// Runs one query under the round's activation literal plus `lit`;
-    /// `Ok(true)` is satisfiable. A budgeted or interrupted query ends
-    /// the sweep and is never read as `Unsat`.
-    fn query(
+    /// Queries `pairs` in batches of [`Options::batch_pairs`] pairs (one
+    /// when it is 0 or 1) through [`query_batch`]. `Ok` means every
+    /// batch answered Unsat; the first satisfiable batch ends the sweep.
+    /// A budgeted or interrupted query ends it too and is never read as
+    /// Unsat.
+    fn batches(
         &mut self,
-        rs: &mut RoundSolver,
-        ctx: &RoundCtx,
-        lit: SatLit,
-    ) -> Result<bool, SweepEnd> {
-        self.queries += 1;
-        match query(&mut rs.u.solver, &[self.act, lit], ctx.obs) {
-            Ok(Query::Sat) => Ok(true),
-            Ok(Query::Unsat) => Ok(false),
-            Ok(Query::Budget) => Err(SweepEnd::Budget),
-            Err(a) => Err(SweepEnd::Abort(a)),
-        }
-    }
-}
-
-/// Reads the witness of a satisfiable query out of the solver's model,
-/// keyed by the canonical `seq` of the pair it refutes, and ends the
-/// round.
-fn take_witness(rs: &RoundSolver, ctx: &RoundCtx, seq: u64, init: bool) -> SweepEnd {
-    ctx.obs.add(Counter::WorkerCexes, 1);
-    let u = &rs.u;
-    let kind = if init {
-        CexKind::Init {
-            xi: u.read_inputs(&u.xi_in),
-        }
-    } else {
-        CexKind::TwoFrame {
-            s: u.read_inputs(&u.s_in),
-            xt: u.read_inputs(&u.x0_in),
-            xt1: u.read_inputs(&u.x1_in),
-        }
-    };
-    SweepEnd::Witness(Witness { seq, kind })
-}
-
-/// Sweeps one chunk pair by pair: the condition-2 query unless the pair
-/// is settled, then the condition-1 query of a pair condition 2 proved.
-/// The first satisfiable query ends the sweep with its witness.
-fn pair_chunk_sweep(
-    rs: &mut RoundSolver,
-    ctx: &RoundCtx,
-    sw: &mut Sweep,
-    chunk: &[(u64, Var, Var)],
-) -> Result<(), SweepEnd> {
-    for &(seq, m, r) in chunk {
-        sw.heartbeat(rs, ctx);
-        for init in [false, true] {
-            // Condition 2 of a settled pair follows from the round's
-            // other answers (see [`Congruence`]); condition 1 is
-            // partition-independent (see [`RoundSolver::init_eq`]):
-            // skip it once proven.
-            if answered(rs, ctx, m, r, init) {
-                continue;
-            }
-            let d = rs.u.pair_diff(ctx.partition, m, r, init);
-            if sw.query(rs, ctx, d)? {
-                return Err(take_witness(rs, ctx, seq, init));
-            }
-            if init {
-                rs.init_eq.insert((m, r));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Whether a pair's query for one condition is answered without the
-/// solver: condition 2 of a settled pair, condition 1 of a pair in
-/// [`RoundSolver::init_eq`].
-fn answered(rs: &RoundSolver, ctx: &RoundCtx, m: Var, r: Var, init: bool) -> bool {
-    if init {
-        rs.init_eq.contains(&(m, r))
-    } else {
-        ctx.settled[m.index()]
-    }
-}
-
-/// Sweeps one chunk with the batched protocol: condition-2 sub-batches
-/// of up to [`Options::batch_pairs`] unsettled pairs, then condition 1
-/// over the chunk behind [`RoundSolver::init_eq`]. Each sub-batch gets
-/// one fresh batch literal `b`, the clause `b → (d₁ ∨ … ∨ d_k)` over the
-/// pairs' cached difference literals, and `b` assumed alongside the
-/// round activation, and is solved once. **Unsat** proves all `k` pairs
-/// at once — the assumption set is the per-pair query's plus `b`, so it
-/// certifies exactly what `k` per-pair Unsat answers would. **Sat**
-/// yields the round's witness, keyed to the lowest canonical `seq`
-/// among the pairs the model separates, and ends the sweep. Each batch
-/// literal is retired with the unit `¬b`.
-fn batched_chunk_sweep(
-    rs: &mut RoundSolver,
-    ctx: &RoundCtx,
-    sw: &mut Sweep,
-    chunk: &[(u64, Var, Var)],
-) -> Result<(), SweepEnd> {
-    for init in [false, true] {
-        // Condition 1 is reached only once condition 2 holds for the
-        // whole chunk: a satisfiable batch ends the sweep.
-        let todo: Vec<(u64, Var, Var)> = chunk
-            .iter()
-            .copied()
-            .filter(|&(_, m, r)| !answered(rs, ctx, m, r, init))
-            .collect();
-        for batch in todo.chunks(ctx.opts.batch_pairs) {
-            sw.heartbeat(rs, ctx);
+        u: &mut Unrolling,
+        partition: &Partition,
+        opts: &Options,
+        pairs: &[(u64, Var, Var)],
+    ) -> Result<(), SweepEnd> {
+        for batch in pairs.chunks(opts.batch_pairs.max(1)) {
+            self.heartbeat(&u.solver, partition, &opts.obs);
             let ds: Vec<SatLit> = batch
                 .iter()
-                .map(|&(_, m, r)| rs.u.pair_diff(ctx.partition, m, r, init))
+                .map(|&(_, m, r)| u.pair_diff(partition, m, r, self.init))
                 .collect();
-            let b = rs.u.solver.new_var().positive();
-            let mut clause = vec![!b];
-            clause.extend_from_slice(&ds);
-            rs.u.solver.add_clause(&clause);
-            ctx.obs.add(Counter::BatchedCalls, 1);
-            let sat = sw.query(rs, ctx, b);
-            rs.u.solver.add_clause(&[!b]);
-            if sat? {
-                let separated: Vec<u64> = batch
-                    .iter()
-                    .zip(&ds)
-                    .filter(|&(_, &d)| rs.u.solver.model_value(d))
-                    .map(|(&(seq, _, _), _)| seq)
-                    .collect();
-                ctx.obs
-                    .add(Counter::BatchPairsDecoded, separated.len() as u64);
-                let lowest = separated.into_iter().min().unwrap_or(batch[0].0);
-                return Err(take_witness(rs, ctx, lowest, init));
-            }
-            if init {
-                rs.init_eq.extend(batch.iter().map(|&(_, m, r)| (m, r)));
+            self.queries += 1;
+            match query_batch(&mut u.solver, self.act.as_slice(), &ds, &opts.obs) {
+                Ok(Query::Unsat) => {}
+                Ok(Query::Sat) => {
+                    let separated = batch
+                        .iter()
+                        .zip(&ds)
+                        .filter(|&(_, &d)| u.solver.model_value(d))
+                        .map(|(&(seq, _, _), _)| seq);
+                    return Err(SweepEnd::Sat(separated.min().unwrap_or(batch[0].0)));
+                }
+                Ok(Query::Budget) => return Err(SweepEnd::Budget),
+                Err(a) => return Err(SweepEnd::Abort(a)),
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Debug builds only: re-queries every pair a certifying round settled,
-/// under the round's activation literal, and panics on a refutable one.
-/// The queries run on a clone of the solver with its own limits and no
-/// observability handle, so the run's counters and its solver's
-/// trajectory are the same as in a release build. An interrupted query
-/// proves nothing either way and is skipped.
+/// The canonical pair enumeration: multi-member classes in ascending
+/// order, each member against its class's representative, numbered by
+/// `seq` in that order and tagged with its class. The sequence number
+/// names the same pair whatever the scan order, and keys the witness's
+/// amplification seed.
+fn canonical_pairs(partition: &Partition) -> impl Iterator<Item = (usize, (u64, Var, Var))> + '_ {
+    partition
+        .multi_classes()
+        .flat_map(move |ci| {
+            let members = partition.class(ci);
+            members[1..].iter().map(move |&m| (ci, m, members[0]))
+        })
+        .zip(0u64..)
+        .map(|((ci, m, r), seq)| (ci, (seq, m, r)))
+}
+
+/// Exact `T0` (paper Eq. 2), the SAT counterpart of the BDD backend's:
+/// two signals stay together iff they agree at `s0` for every input.
+/// Queries every canonical pair's initial-frame difference literal in
+/// batches and splits by each amplified initial-frame witness
+/// ([`split_by_init_cex`]), enumerating the pairs again after each
+/// split, until a whole pass answers Unsat. Agreement of normalized
+/// functions at `s0` for every input is an equivalence relation, so
+/// every later split keeps condition 1, and the rounds query condition
+/// 2 only. The `sat.t0` span records the queries and the splits; as
+/// with the BDD backend's `T0`, they are not a round's.
+fn refine_t0(
+    rs: &mut RoundSolver,
+    aig: &Aig,
+    partition: &mut Partition,
+    opts: &Options,
+    ticker: &mut ProgressTicker,
+) -> Result<(), SweepEnd> {
+    let obs = &opts.obs;
+    let mut sp = span!(obs, "sat.t0");
+    let classes_before = partition.num_classes();
+    let mut sw = Sweep {
+        init: true,
+        act: None,
+        round: 0,
+        queries: 0,
+        ticker,
+    };
+    let end = loop {
+        let pairs: Vec<(u64, Var, Var)> = canonical_pairs(partition).map(|(_, p)| p).collect();
+        match sw.batches(&mut rs.u, partition, opts, &pairs) {
+            Err(SweepEnd::Sat(seq)) => {
+                let xi = rs.u.read_inputs(&rs.u.xi_in);
+                let seed = cex_seed(opts.seed, 0, seq);
+                if !split_by_init_cex(aig, partition, opts, seed, &xi, obs) {
+                    break Err(SweepEnd::Abort(Abort::Resource(
+                        "internal inconsistency: a T0 witness did not split".into(),
+                    )));
+                }
+            }
+            end => break end,
+        }
+    };
+    sp.record("queries", sw.queries);
+    sp.record("splits", (partition.num_classes() - classes_before) as u64);
+    end
+}
+
+/// Debug builds only: re-queries, on a clone of the solver, every
+/// condition a certifying round took as settled without asking —
+/// condition 1 of every pair, which [`refine_t0`] settled, and
+/// condition 2 of every pair the round settled by congruence, under its
+/// activation literal — and panics on a refutable one. The clone has its own limits and no observability
+/// handle, so the run's counters and its solver's trajectory are the
+/// same as in a release build. An interrupted query proves nothing
+/// either way and is skipped.
 #[cfg(debug_assertions)]
 fn assert_settled_pairs_hold(
     u: &Unrolling,
-    ctx: &RoundCtx,
+    partition: &Partition,
+    settled: &[bool],
     act: SatLit,
     pairs: &[(u64, Var, Var)],
+    round: usize,
     deadline: &Deadline,
 ) {
     let mut u = u.clone();
     u.solver.set_obs(Obs::off());
     u.solver.set_conflict_budget(None);
     u.solver.set_limits(deadline.limits());
-    for &(_, m, r) in pairs.iter().filter(|&&(_, m, _)| ctx.settled[m.index()]) {
-        let d = u.pair_diff(ctx.partition, m, r, false);
-        let answer = u.solver.solve_with_assumptions(&[act, d]);
+    for &(_, m, r) in pairs {
+        let d = u.pair_diff(partition, m, r, true);
+        let answer = u.solver.solve_with_assumptions(&[d]);
         assert!(
             answer != SatResult::Sat,
-            "round {}: the settled pair ({m}, {r}) is refutable",
-            ctx.round
+            "round {round}: the pair ({m}, {r}) differs at the initial state"
         );
+        if settled[m.index()] {
+            let d = u.pair_diff(partition, m, r, false);
+            let answer = u.solver.solve_with_assumptions(&[act, d]);
+            assert!(
+                answer != SatResult::Sat,
+                "round {round}: the settled pair ({m}, {r}) is refutable"
+            );
+        }
     }
 }
 
 /// Sweeps one round's pairs in scan order: the hot segment (the first
 /// `hot_len` pairs) as one chunk, then the cold tail in chunks of
-/// `chunk_pairs`. With [`Options::batch_pairs`] ≥ 2 each chunk runs
-/// through [`batched_chunk_sweep`], else [`pair_chunk_sweep`]. `Ok`
+/// `(n_pairs / 8).clamp(4, 64)` pairs, never narrower than a batch.
+/// Each chunk's unsettled pairs go through [`Sweep::batches`]. `Ok`
 /// means every query answered Unsat.
 fn sweep_round(
-    rs: &mut RoundSolver,
-    ctx: &RoundCtx,
+    u: &mut Unrolling,
+    partition: &Partition,
+    opts: &Options,
     sw: &mut Sweep,
+    settled: &[bool],
     pairs: &[(u64, Var, Var)],
     hot_len: usize,
-    chunk_pairs: usize,
 ) -> Result<(), SweepEnd> {
+    // Never narrower than a batch, or the sweep would pay one
+    // underfull batched call per chunk.
+    let chunk_pairs = (pairs.len() / 8).clamp(4, 64).max(opts.batch_pairs);
     let (hot, cold) = pairs.split_at(hot_len);
     let chunks = std::iter::once(hot)
         .filter(|c| !c.is_empty())
         .chain(cold.chunks(chunk_pairs));
     for chunk in chunks {
-        sw.heartbeat(rs, ctx);
-        if ctx.opts.batch_pairs >= 2 {
-            batched_chunk_sweep(rs, ctx, sw, chunk)?;
-        } else {
-            pair_chunk_sweep(rs, ctx, sw, chunk)?;
-        }
+        // Condition 2 of a settled pair follows from the round's other
+        // answers (see [`Congruence`]).
+        let todo: Vec<(u64, Var, Var)> = chunk
+            .iter()
+            .copied()
+            .filter(|&(_, m, _)| !settled[m.index()])
+            .collect();
+        sw.batches(u, partition, opts, &todo)?;
     }
     Ok(())
 }
@@ -1013,22 +884,22 @@ fn sweep_round(
 /// Runs the greatest fixed-point iteration with the SAT engine,
 /// returning the Theorem-1 verdict (`Q_msc ⇒ λ`) at the fixed point.
 ///
-/// Every round enumerates the candidate pairs canonically — multi-member
-/// classes in ascending order, members against their representative,
-/// numbered by `seq` — and sweeps them over the one solver: the *hot*
-/// pairs first as one chunk, then the *cold* tail, rotated by a cursor
-/// that advances `n_pairs + 1` pairs per round and cut into chunks of
-/// `(n_pairs / 8).clamp(4, 64)` pairs, never narrower than a batch. The
-/// first satisfiable query ends the round; its witness is amplified
-/// with the seed [`cex_seed`] derives from the round and the pair's
-/// `seq`, refines the partition, and cascades forward while its later
-/// frames still split. Every counterexample-guided split preserves "the
-/// true relation refines the current partition", so the fixed point
-/// reached is the unique coarsest one refining the seed.
+/// [`refine_t0`] settles condition 1 first, on round 1's solver before
+/// it asserts any `Q`. Every round then enumerates the candidate pairs
+/// ([`canonical_pairs`]) and sweeps their condition-2 queries over the
+/// one solver ([`sweep_round`]): the *hot* pairs, those of the classes
+/// the previous merge created or shrank, first as one chunk, then the
+/// *cold* tail, rotated by a cursor that advances `n_pairs + 1` pairs
+/// per round. The first satisfiable query ends the round; its witness
+/// is amplified with the seed [`cex_seed`] derives from the round and
+/// the pair's `seq`, refines the partition, and cascades forward while
+/// its later frames still split. Every counterexample-guided split
+/// preserves "the true relation refines the current partition", so the
+/// fixed point reached is the unique coarsest one refining the seed.
 ///
 /// When a query exhausts its conflict budget the budget is dropped and
-/// the round is redone in rebuild mode from the unchanged round-start
-/// partition.
+/// the run goes on in rebuild mode: `T0` is redone from the current
+/// partition, a round from its unchanged round-start partition.
 pub(crate) fn run_fixed_point(
     aig: &Aig,
     partition: &mut Partition,
@@ -1044,8 +915,8 @@ pub(crate) fn run_fixed_point(
     // itself; rebuild mode keeps it to re-clone from every round.
     let mut base = Some(Unrolling::build(aig));
     let mut rebuild = !opts.sat_incremental;
-    let mut budget = opts.sat_conflict_budget.filter(|_| !rebuild);
     let mut solver: Option<RoundSolver> = None;
+    let mut t0_done = false;
     let mut round_no = 0usize;
     // Deterministic rotation of the cold tail: rounds stop at their
     // first witness, so always sweeping from pair 0 would starve the
@@ -1053,101 +924,96 @@ pub(crate) fn run_fixed_point(
     // plus one pair per round, so successive rounds start at different
     // pairs.
     let mut rotate = 0u64;
-    // Classes the previous round's merge created or shrank, and the
-    // latches whose next-state cones those classes' members reach;
-    // their pairs are scanned first (see the scan-order comment
-    // below). Empty on the first round: no merge has happened yet, so
-    // every pair is cold and the round is an ordinary full sweep.
-    let dep = DepMap::build(aig);
     let mut congruence = Congruence::new(aig);
+    // Classes the previous round's merge created or shrank. A
+    // refinement cascade breaks equivalences near the classes that just
+    // split, so their pairs are where the next witness most likely
+    // sits, and scanning them first collapses the witness-less prefix
+    // that otherwise pins every round's query count. Empty before the
+    // first merge, so round 1 is an ordinary full sweep.
     let mut hot: HashSet<usize> = HashSet::new();
-    let mut hot_latches = vec![0u64; dep.words];
     let result = loop {
         if let Err(e) = deadline.check() {
             break Err(e);
         }
         deadline.tick();
-        round_no += 1;
-        let mut sp = open_round(obs, round_no);
-        let classes_before = partition.num_classes();
-        // Canonical pair enumeration: multi-member classes in
-        // ascending order, members against their representative.
-        // The sequence number is assigned *before* the scan order is
-        // chosen, so it names the same pair whatever the cursor or the
-        // hot-first split, and keys the witness's amplification seed.
-        //
-        // Scan order (which never affects the fixed point) front-loads
-        // the *hot* pairs: members of classes the previous merge
-        // touched. A refinement cascade breaks equivalences near the
-        // classes that just split, so hot pairs are where this round's
-        // witness most likely sits — scanning them first collapses the
-        // witness-less prefix that otherwise pins every round's query
-        // count.
-        let mut pairs: Vec<(u64, Var, Var)> = Vec::new();
-        let mut cold: Vec<(u64, Var, Var)> = Vec::new();
-        let mut seq = 0u64;
-        let class_ids: Vec<usize> = partition.multi_classes().collect();
-        let mut class_sizes: Vec<(usize, usize)> = Vec::with_capacity(class_ids.len());
-        for &ci in &class_ids {
-            let members = partition.class(ci);
-            class_sizes.push((ci, members.len()));
-            let r = members[0];
-            let class_hot = hot.contains(&ci);
-            for &m in &members[1..] {
-                let out = if class_hot || dep.depends(m, r, &hot_latches) {
-                    &mut pairs
-                } else {
-                    &mut cold
-                };
-                out.push((seq, m, r));
-                seq += 1;
-            }
-        }
-        let n_pairs = pairs.len() + cold.len();
-        // The cold tail rotates: a fixed cold order would starve the
-        // tail of the enumeration whenever the hot set runs dry.
-        if !cold.is_empty() {
-            let offset = (rotate % cold.len() as u64) as usize;
-            cold.rotate_left(offset);
-            rotate = rotate.wrapping_add(n_pairs as u64 + 1);
-        }
-        let hot_len = pairs.len();
-        pairs.append(&mut cold);
-        // Never narrower than a batch, or the sweep would pay one
-        // underfull batched call per chunk.
-        let chunk_pairs = (n_pairs / 8).clamp(4, 64).max(opts.batch_pairs);
         // A fresh solver on the first round and, in rebuild mode, on
         // every round.
         if rebuild || solver.is_none() {
             let u = if rebuild { base.clone() } else { base.take() }
                 .expect("the base encoding outlives every solver it seeds");
-            let fresh = RoundSolver::new(u, budget, obs);
+            let budget = opts.sat_conflict_budget.filter(|_| !rebuild);
+            let fresh = RoundSolver::new(u, budget, deadline, obs);
             match &mut solver {
                 Some(rs) => rs.replace_solver(fresh),
                 None => solver = Some(fresh),
             }
         }
         let rs = solver.as_mut().expect("a solver was just brought up");
-        let act = rs.start_round(partition, deadline);
+        if !t0_done {
+            match refine_t0(rs, aig, partition, opts, &mut ticker) {
+                Ok(()) => t0_done = true,
+                Err(SweepEnd::Abort(a)) => break Err(a),
+                Err(_budget) => {
+                    // Fall back as a round does (below) and redo `T0`
+                    // from the current partition.
+                    event!(obs, "sat.fallback", reason = "conflict budget exhausted");
+                    rebuild = true;
+                    base.get_or_insert_with(|| Unrolling::build(aig));
+                    continue;
+                }
+            }
+        }
+        round_no += 1;
+        let mut sp = open_round(obs, round_no);
+        let classes_before = partition.num_classes();
+        let class_sizes: Vec<(usize, usize)> = partition
+            .multi_classes()
+            .map(|ci| (ci, partition.class(ci).len()))
+            .collect();
+        // Scan order, which never affects the fixed point: the hot
+        // pairs, then the cold tail rotated, since a fixed cold order
+        // would starve the tail of the enumeration whenever the hot set
+        // runs dry.
+        let mut pairs: Vec<(u64, Var, Var)> = Vec::new();
+        let mut cold: Vec<(u64, Var, Var)> = Vec::new();
+        for (ci, pair) in canonical_pairs(partition) {
+            if hot.contains(&ci) {
+                pairs.push(pair);
+            } else {
+                cold.push(pair);
+            }
+        }
+        if !cold.is_empty() {
+            let offset = (rotate % cold.len() as u64) as usize;
+            cold.rotate_left(offset);
+            rotate = rotate.wrapping_add((pairs.len() + cold.len()) as u64 + 1);
+        }
+        let hot_len = pairs.len();
+        pairs.append(&mut cold);
+        let act = rs.start_round(partition);
         let settled = congruence.settle(aig, partition);
         obs.add(Counter::CongruentPairs, settled);
         sp.record("settled", settled);
         let mut sw = Sweep {
-            act,
+            init: false,
+            act: Some(act),
+            round: round_no,
             queries: 0,
             ticker: &mut ticker,
         };
-        let ctx = RoundCtx {
+        let end = sweep_round(
+            &mut rs.u,
             partition,
-            settled: &congruence.settled,
             opts,
-            round: round_no,
-            obs,
-        };
-        let end = sweep_round(rs, &ctx, &mut sw, &pairs, hot_len, chunk_pairs);
+            &mut sw,
+            &congruence.settled,
+            &pairs,
+            hot_len,
+        );
         let queries = sw.queries;
-        let c = match end {
-            Err(SweepEnd::Witness(c)) => c,
+        let seq = match end {
+            Err(SweepEnd::Sat(seq)) => seq,
             Err(SweepEnd::Abort(a)) => {
                 close_round(obs, &mut sp, partition, classes_before, queries, 0);
                 break Err(a);
@@ -1161,7 +1027,15 @@ pub(crate) fn run_fixed_point(
                     // point. The round's `Q` is still active for the
                     // Theorem-1 output check.
                     #[cfg(debug_assertions)]
-                    assert_settled_pairs_hold(&rs.u, &ctx, act, &pairs, deadline);
+                    assert_settled_pairs_hold(
+                        &rs.u,
+                        partition,
+                        &congruence.settled,
+                        act,
+                        &pairs,
+                        round_no,
+                        deadline,
+                    );
                     match check_outputs(&mut rs.u, partition, act, output_pairs, obs) {
                         Err(e) => break Err(e),
                         Ok(Some(ok)) => break Ok(ok),
@@ -1172,42 +1046,30 @@ pub(crate) fn run_fixed_point(
                 // budget and redo the round in rebuild mode from the
                 // round-start partition (this round merged nothing).
                 event!(obs, "sat.fallback", reason = "conflict budget exhausted");
-                budget = None;
                 rebuild = true;
-                if base.is_none() {
-                    base = Some(Unrolling::build(aig));
-                }
+                base.get_or_insert_with(|| Unrolling::build(aig));
                 continue;
             }
         };
         // Merge. The witness satisfies the asserted round-start `Q`
         // and violates its pair's equality, so it must refine.
-        let frames = match &c.kind {
-            CexKind::TwoFrame { s, xt, xt1 } => {
-                let seed = cex_seed(opts.seed, round_no, c.seq, false);
-                split_by_two_frame_cex(aig, partition, opts, seed, s, xt, xt1, obs)
-            }
-            CexKind::Init { xi } => {
-                let seed = cex_seed(opts.seed, round_no, c.seq, true);
-                u64::from(split_by_init_cex(aig, partition, opts, seed, xi, obs))
-            }
-        };
-        // Re-derive the hot sets from what this merge did: every
-        // class it created, plus every surviving class it shrank,
-        // and the latches those classes' members influence.
+        obs.add(Counter::WorkerCexes, 1);
+        let u = &rs.u;
+        let (s, xt, xt1) = (
+            u.read_inputs(&u.s_in),
+            u.read_inputs(&u.x0_in),
+            u.read_inputs(&u.x1_in),
+        );
+        let seed = cex_seed(opts.seed, round_no, seq);
+        let frames = split_by_two_frame_cex(aig, partition, opts, seed, &s, &xt, &xt1, obs);
         hot.clear();
         hot.extend(classes_before..partition.num_classes());
-        for &(ci, len) in &class_sizes {
-            if partition.class(ci).len() != len {
-                hot.insert(ci);
-            }
-        }
-        hot_latches.fill(0);
-        for &ci in &hot {
-            for &v in partition.class(ci) {
-                dep.mark_hot(v, &mut hot_latches);
-            }
-        }
+        hot.extend(
+            class_sizes
+                .iter()
+                .filter(|&&(ci, len)| partition.class(ci).len() != len)
+                .map(|&(ci, _)| ci),
+        );
         close_round(obs, &mut sp, partition, classes_before, queries, frames);
         drop(sp);
         if frames == 0 {
@@ -1228,7 +1090,7 @@ pub(crate) fn run_fixed_point(
 mod tests {
     use super::*;
     use crate::options::OptionsBuilder;
-    use sec_obs::Recorder;
+    use sec_obs::{Recorder, Value};
     use std::sync::Arc;
 
     /// The settled flags of `classes` (every phase positive except
@@ -1425,6 +1287,55 @@ mod tests {
                 "batch_pairs {batch_pairs}"
             );
             assert!(recorder.counter(Counter::CongruentPairs) >= 1);
+        }
+    }
+
+    /// The `key` field of every `name` event `recorder` captured.
+    fn field_of(recorder: &Recorder, name: &str, key: &str) -> Vec<u64> {
+        let events = recorder.events();
+        let of_name = events.iter().filter(|e| e.name == name);
+        of_name
+            .map(|e| match e.fields.iter().find(|(k, _)| *k == key) {
+                Some((_, Value::U64(n))) => *n,
+                other => panic!("{name}.{key}: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn t0_settles_condition_1_before_round_1() {
+        // At s0 (a = b = 1) the gates g = a ∧ x and h = b ∧ x ∧ y differ
+        // under x ∧ ¬y only. The latches p and q start at 0 and latch x
+        // and y: equal at s0, apart one frame later.
+        let mut aig = Aig::new();
+        let [x, y] = ["x", "y"].map(|s| aig.add_input(s));
+        let [a, b] = [0; 2].map(|_| aig.add_latch(true));
+        let [p, q] = [0; 2].map(|_| aig.add_latch(false));
+        for (l, next) in [(a, a.lit()), (b, b.lit()), (p, x.lit()), (q, y.lit())] {
+            aig.set_latch_next(l, next);
+        }
+        let g = aig.and(a.lit(), x.lit()).var();
+        let bx = aig.and(b.lit(), x.lit());
+        let h = aig.and(bx, y.lit()).var();
+        for batch_pairs in [0, 32] {
+            // Classed by hand, so no simulation has split either pair.
+            let phase = vec![true; aig.num_nodes()];
+            let mut partition =
+                Partition::new(aig.num_nodes(), vec![vec![g, h], vec![p, q]], phase);
+            let recorder = Recorder::with_events();
+            let opts = OptionsBuilder::sat()
+                .batch_pairs(batch_pairs)
+                .obs(Obs::multi(vec![Arc::new(recorder.clone())]))
+                .build();
+            run_fixed_point(&aig, &mut partition, &opts, &Deadline::new(None), &[]).unwrap();
+            assert_eq!(partition.num_classes(), 4, "batch_pairs {batch_pairs}");
+            // T0 splits {g, h} and queries (p, q) again; round 1 splits
+            // {p, q} and round 2 certifies.
+            assert_eq!(field_of(&recorder, "sat.t0", "splits"), [1]);
+            assert_eq!(field_of(&recorder, "sat.t0", "queries"), [2]);
+            assert_eq!(field_of(&recorder, "round", "splits"), [1, 0]);
+            assert_eq!(recorder.counter(Counter::Splits), 1);
+            assert_eq!(recorder.counter(Counter::WorkerCexes), 1);
         }
     }
 }

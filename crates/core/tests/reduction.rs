@@ -44,8 +44,9 @@ fn pairs() -> Vec<(Aig, Aig)> {
     ]
 }
 
-/// Every batch width: off, the smallest batch, the `sat()` preset's.
-const BATCHES: [usize; 3] = [0, 2, 32];
+/// Every batch width: off, one pair, the smallest batch, the `sat()`
+/// preset's.
+const BATCHES: [usize; 4] = [0, 1, 2, 32];
 
 fn opts_with(batch: usize) -> Options {
     OptionsBuilder::sat().batch_pairs(batch).build()
@@ -86,6 +87,24 @@ fn pipeline_knobs_never_change_verdict_or_partition_summary() {
                 "pair {i}: batch={batch}"
             );
         }
+    }
+}
+
+#[test]
+fn batch_widths_zero_and_one_run_one_path() {
+    // A one-pair batch is a plain query on its difference literal, so
+    // widths 0 and 1 make the same queries in the same order.
+    for (i, (spec, imp)) in pairs().into_iter().enumerate() {
+        let counts = |batch| {
+            let s = Checker::new(&spec, &imp, opts_with(batch))
+                .unwrap()
+                .run()
+                .stats;
+            assert_eq!(s.batched_calls, 0, "pair {i}: batch={batch}");
+            assert_eq!(s.batch_pairs_decoded, 0, "pair {i}: batch={batch}");
+            (s.iterations, s.sat_solver_calls, s.sat_conflicts)
+        };
+        assert_eq!(counts(1), counts(0), "pair {i}: (rounds, calls, conflicts)");
     }
 }
 
