@@ -361,8 +361,8 @@ impl Checker {
 /// returns the final partition.
 ///
 /// Exposed so tests, diagnostics, and benchmarks can compare the exact
-/// fixed point across backends: SAT in incremental or rebuild mode and
-/// BDD must all land on the *same* partition —
+/// fixed point across backends: SAT at any batch width and BDD must
+/// all land on the *same* partition —
 /// every counterexample-guided split preserves "the true relation
 /// refines the current partition", so any fixed point reached is the
 /// unique coarsest one refining the simulation seed.

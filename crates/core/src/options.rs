@@ -20,10 +20,10 @@ pub enum Backend {
     /// signals" the paper's conclusion anticipates (and what modern
     /// `scorr`-style tools do). Every fixed point runs its rounds one
     /// after another over a single solver on the calling thread, each
-    /// round ending at its first counterexample. By default the solver
-    /// persists across refinement rounds ([`Options::sat_incremental`]);
-    /// rebuilding it each round is the [`Options::sat_monolithic`]
-    /// ablation baseline and the conflict-budget fall-back mode.
+    /// round ending at its first counterexample. The solver persists
+    /// across refinement rounds: each round's correspondence condition
+    /// sits behind an activation literal that the next round retracts,
+    /// so learnt clauses and variable activities carry over.
     Sat,
 }
 
@@ -90,30 +90,6 @@ pub struct Options {
     /// Run sifting-based reordering when the BDD table grows (BDD backend
     /// only).
     pub sift: bool,
-    /// Incremental SAT fixed point (SAT backend only): the solver
-    /// persists across all refinement rounds, guarding each round's
-    /// correspondence condition `Q` behind an activation literal that
-    /// is retracted (a unit `¬act`) at the next round start. Learned
-    /// clauses and variable activities survive every round. `false`
-    /// selects **rebuild mode**: the solver is re-cloned from the base
-    /// encoding at each round start, so nothing learnt outlives its
-    /// round.
-    pub sat_incremental: bool,
-    /// 64-bit words of bit-parallel counterexample amplification per
-    /// satisfiable SAT query (SAT backend only): the witness plus
-    /// `64*w - 1` bit-flipped neighbours are simulated in one pass and
-    /// every `Q`-satisfying pattern refines the partition, so one
-    /// solver call typically splits many classes; the patterns then
-    /// step on frame by frame while later frames still split. `0`
-    /// disables amplification and the cascade (single-witness
-    /// splitting).
-    pub sat_amplify_words: usize,
-    /// Per-query conflict budget of the incremental SAT mode. When a
-    /// query exhausts it, the run drops the budget and redoes the
-    /// round in rebuild mode from the round-start partition — never
-    /// misreading the budgeted query as "unsatisfiable". `None` means
-    /// no budget.
-    pub sat_conflict_budget: Option<u64>,
     /// Layer 3 of the reduction pipeline (SAT backend only): batch up
     /// to this many candidate-pair equality queries, in every round and
     /// in the exact `T0`, into one incremental solver call under a
@@ -172,9 +148,6 @@ impl Default for Options {
             approx_group: 8,
             bmc_depth: 16,
             sift: false,
-            sat_incremental: true,
-            sat_amplify_words: 1,
-            sat_conflict_budget: None,
             batch_pairs: 0,
             sim_refute: true,
             cancel: None,
@@ -193,25 +166,11 @@ impl Options {
         Options::default()
     }
 
-    /// SAT-backend configuration: an incremental solver,
-    /// amplification on, and batched pair queries enabled.
+    /// SAT-backend configuration with batched pair queries enabled.
     pub fn sat() -> Options {
         Options {
             backend: Backend::Sat,
             batch_pairs: 32,
-            ..Options::default()
-        }
-    }
-
-    /// SAT-backend configuration with the pre-incremental behaviour:
-    /// rebuild mode (a fresh solver per refinement round)
-    /// and single-witness splitting. The baseline the incremental mode
-    /// is benchmarked against.
-    pub fn sat_monolithic() -> Options {
-        Options {
-            backend: Backend::Sat,
-            sat_incremental: false,
-            sat_amplify_words: 0,
             ..Options::default()
         }
     }
@@ -266,9 +225,8 @@ macro_rules! setters {
 /// ```
 /// use sec_core::OptionsBuilder;
 ///
-/// let opts = OptionsBuilder::sat().sat_amplify_words(2).build();
-/// assert!(opts.sat_incremental);
-/// assert_eq!(opts.sat_amplify_words, 2);
+/// let opts = OptionsBuilder::sat().batch_pairs(8).build();
+/// assert_eq!(opts.batch_pairs, 8);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OptionsBuilder {
@@ -292,13 +250,6 @@ impl OptionsBuilder {
     pub fn sat() -> OptionsBuilder {
         OptionsBuilder {
             opts: Options::sat(),
-        }
-    }
-
-    /// Starts from the [`Options::sat_monolithic`] preset.
-    pub fn sat_monolithic() -> OptionsBuilder {
-        OptionsBuilder {
-            opts: Options::sat_monolithic(),
         }
     }
 
@@ -336,13 +287,6 @@ impl OptionsBuilder {
         bmc_depth: usize,
         /// Enables/disables sifting-based BDD reordering.
         sift: bool,
-        /// Enables/disables the incremental SAT fixed point (`false`
-        /// selects rebuild mode; see [`Options::sat_incremental`]).
-        sat_incremental: bool,
-        /// Sets the amplification width in words (`0` disables).
-        sat_amplify_words: usize,
-        /// Sets the per-query conflict budget of the incremental mode.
-        sat_conflict_budget: Option<u64>,
         /// Sets the batched-query width in pairs (`0`/`1` = per-pair
         /// queries; see [`Options::batch_pairs`]).
         batch_pairs: usize,
@@ -381,25 +325,15 @@ mod tests {
     fn sat_preset() {
         let o = Options::sat();
         assert_eq!(o.backend, Backend::Sat);
-        assert!(o.sat_incremental);
-        assert!(o.sat_amplify_words > 0);
         // Batched queries are on for the SAT preset…
         assert!(o.batch_pairs > 1);
-    }
-
-    #[test]
-    fn sat_monolithic_preset() {
-        let o = Options::sat_monolithic();
-        assert_eq!(o.backend, Backend::Sat);
-        assert!(!o.sat_incremental);
-        assert_eq!(o.sat_amplify_words, 0);
     }
 
     #[test]
     fn paper_preset_keeps_pipeline_off() {
         // …and off everywhere else, so the paper-faithful and ablation
         // configurations keep the original per-pair behaviour.
-        for o in [Options::paper(), Options::sat_monolithic()] {
+        for o in [Options::paper(), Options::register_correspondence()] {
             assert_eq!(o.batch_pairs, 0);
         }
     }

@@ -296,21 +296,6 @@ impl Partition {
         changed
     }
 
-    /// Adds freshly created signals as one new class each (used after the
-    /// retiming extension before re-seeding).
-    pub fn grow(&mut self, num_nodes: usize, new_signals: &[(Var, bool)]) {
-        if self.class_of.len() < num_nodes {
-            self.class_of.resize(num_nodes, UNTRACKED);
-            self.phase.resize(num_nodes, false);
-        }
-        for &(v, phase) in new_signals {
-            self.phase[v.index()] = phase;
-            let ci = self.classes.len() as u32;
-            self.class_of[v.index()] = ci;
-            self.classes.push(vec![v]);
-        }
-    }
-
     /// Iterates over class indices with at least two members.
     pub fn multi_classes(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.classes.len()).filter(|&ci| self.classes[ci].len() >= 2)
@@ -498,16 +483,6 @@ mod tests {
         assert_ne!(p.class_of(v(1)), p.class_of(v(2)));
         assert_eq!(p.class_of(v(1)), p.class_of(v(3)));
         assert!(!p.split_class_by_key(0, |_| 0));
-    }
-
-    #[test]
-    fn grow_appends_singletons() {
-        let mut p = sample();
-        p.grow(8, &[(v(6), true), (v(7), false)]);
-        assert_eq!(p.num_classes(), 5);
-        assert_eq!(p.class_of(v(7)), Some(4));
-        assert!(!p.phase(v(7)));
-        assert!(p.lit_equiv(v(6).lit(), v(6).lit()));
     }
 
     #[test]

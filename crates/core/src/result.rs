@@ -55,9 +55,8 @@ pub struct CheckStats {
     /// including the BMC-fallback solver, so a BDD-backend run that
     /// ends in BMC reports nonzero conflicts.
     pub sat_conflicts: u64,
-    /// SAT solvers constructed: one per fixed point in incremental
-    /// mode, one per refinement round in rebuild mode ([`Options::sat_incremental`](crate::Options::sat_incremental)
-    /// `false`), plus one for the BMC fallback when it runs.
+    /// SAT solvers constructed: one per SAT fixed point, plus one for
+    /// the BMC fallback when it runs.
     pub sat_solver_constructions: usize,
     /// Individual SAT solve calls across all constructed solvers.
     pub sat_solver_calls: u64,

@@ -25,30 +25,21 @@
 //! without one is a certified full sweep, so the partition is the fixed
 //! point.
 //!
-//! **Incremental mode** (default): the solver persists across every
-//! refinement round. `Q_{T_i}` is never asserted as hard clauses: each
-//! `(member, representative)` pair gets a persistent guard `g` with
-//! `g → (m = r)` created once per pair lifetime, and each round's
-//! activation literal `act_i` implies the live pairs' guards (one binary
-//! clause apiece), with `act_i` passed to every query as an assumption.
-//! At the next round start the unit clause `¬act_i` retracts the round;
-//! the solver, its variable activities, and all learned clauses carry
-//! over, and surviving pairs are re-activated at one clause each.
-//! Learnts stay valid after retraction because every clause they were
-//! derived from is still present — retraction only *satisfies* the
-//! activation clauses, it never deletes anything — and learnts over
-//! pair guards and cached difference literals keep pruning later
-//! rounds' queries.
-//!
-//! **Rebuild mode** (`sat_incremental: false`): the solver is re-cloned
-//! from the base encoding at each round start, so no learnt clause
-//! outlives its round — the ablation baseline of the incremental mode.
-//! A per-query conflict budget (off by default) bounds how much a
-//! persistent solver may thrash on one query; on exhaustion the run
-//! drops the budget, switches to rebuild mode, and redoes the round
-//! from the round-start partition (or `T0` from the current one), which
-//! is sound because every split already applied is justified. A
-//! budgeted or interrupted query is never read as "unsatisfiable".
+//! **One solver per fixed point.** The solver persists from `T0`
+//! through every refinement round. `Q_{T_i}` is never asserted as hard
+//! clauses: each `(member, representative)` pair gets a persistent
+//! guard `g` with `g → (m = r)` created once per pair lifetime, and each
+//! round's activation literal `act_i` implies the live pairs' guards
+//! (one binary clause apiece), with `act_i` passed to every query as an
+//! assumption. At the next round start the unit clause `¬act_i`
+//! retracts the round; the solver, its variable activities, and all
+//! learned clauses carry over, and surviving pairs are re-activated at
+//! one clause each. Learnts stay valid after retraction because every
+//! clause they were derived from is still present — retraction only
+//! *satisfies* the activation clauses, it never deletes anything — and
+//! learnts over pair guards and cached difference literals keep pruning
+//! later rounds' queries. An interrupted query is never read as
+//! "unsatisfiable".
 //!
 //! Satisfiable queries yield a witness `(s, x_t, x_{t+1})` that is
 //! **amplified**: packed with bit-flipped neighbour patterns into one
@@ -67,15 +58,15 @@ use crate::partition::Partition;
 use sec_netlist::{Aig, Lit, Node, Var};
 use sec_obs::{event, span, Counter, Obs, ProgressTicker};
 use sec_sat::{AigCnf, SatLit, SatResult, Solver};
-use sec_sim::{amplify_init, amplify_two_frame, eval_single, next_state_single, AmplifiedCex};
+use sec_sim::{amplify_init, amplify_two_frame, AmplifiedCex};
 use std::collections::{HashMap, HashSet};
 
 /// The two-frame (+ initial frame) unrolling of the product machine,
 /// encoded in a fresh solver.
 ///
-/// `Clone` snapshots the whole encoding — solver included — which is
-/// how rebuild mode gets a fresh solver every round without encoding
-/// the circuit again.
+/// `Clone` snapshots the whole encoding — solver included — for the
+/// debug-only re-check of a certifying round's settled pairs
+/// (`assert_settled_pairs_hold`).
 #[derive(Clone)]
 struct Unrolling {
     solver: Solver,
@@ -238,30 +229,18 @@ impl Unrolling {
     }
 }
 
-/// Outcome of one solver query.
-enum Query {
-    Sat,
-    Unsat,
-    /// The per-query conflict budget ran out; the driver must fall
-    /// back to rebuild mode, never treat this as `Unsat`.
-    Budget,
-}
-
-/// Runs one query, mapping an interrupted search to the abort that
-/// caused it. An interrupted query must never read as "unsatisfiable" —
-/// that would silently drop a potential split and certify a fixed point
-/// that is not one (an unsound `Equivalent`). A budget-exhausted query
-/// is surfaced as [`Query::Budget`] for the same reason.
-fn query(solver: &mut Solver, assumptions: &[SatLit], obs: &Obs) -> Result<Query, Abort> {
+/// Runs one query: `Ok(true)` when it is satisfiable. An interrupted
+/// search maps to the abort that caused it and must never read as
+/// "unsatisfiable" — that would silently drop a potential split and
+/// certify a fixed point that is not one (an unsound `Equivalent`).
+fn query(solver: &mut Solver, assumptions: &[SatLit], obs: &Obs) -> Result<bool, Abort> {
     obs.add(Counter::SatSolverCalls, 1);
     match solver.solve_with_assumptions(assumptions) {
-        SatResult::Sat => Ok(Query::Sat),
-        SatResult::Unsat => Ok(Query::Unsat),
-        SatResult::Interrupted => match solver.interrupt_reason() {
-            Some(stop) => Err(Abort::from(stop)),
-            None if solver.budget_exhausted() => Ok(Query::Budget),
-            None => Err(Abort::Timeout),
-        },
+        SatResult::Sat => Ok(true),
+        SatResult::Unsat => Ok(false),
+        SatResult::Interrupted => Err(solver
+            .interrupt_reason()
+            .map_or(Abort::Timeout, Abort::from)),
     }
 }
 
@@ -279,7 +258,7 @@ fn query_batch(
     assume: &[SatLit],
     ds: &[SatLit],
     obs: &Obs,
-) -> Result<Query, Abort> {
+) -> Result<bool, Abort> {
     let mut assumptions = assume.to_vec();
     if let [d] = ds {
         assumptions.push(*d);
@@ -293,7 +272,7 @@ fn query_batch(
     assumptions.push(b);
     let answer = query(solver, &assumptions, obs);
     solver.add_clause(&[!b]);
-    if let Ok(Query::Sat) = answer {
+    if let Ok(true) = answer {
         let separated = ds.iter().filter(|&&d| solver.model_value(d)).count();
         obs.add(Counter::BatchPairsDecoded, separated as u64);
     }
@@ -316,8 +295,8 @@ fn split_by_frame_pair(partition: &mut Partition, amp: &AmplifiedCex) -> u64 {
 }
 
 /// Splits the partition by a two-frame counterexample `(s, x_t,
-/// x_{t+1})`, amplified to `64 * sat_amplify_words` patterns when
-/// enabled, and returns how many frames split something: 0 means the
+/// x_{t+1})`, amplified to one word of 64 patterns, and returns how
+/// many frames split something: 0 means the
 /// witness split nothing. Only patterns whose frame-0 values satisfy
 /// the *current* correspondence condition refine the partition (the
 /// witness always does: its frame 0 satisfies the asserted `Q_{T_i}`).
@@ -332,25 +311,17 @@ fn split_by_frame_pair(partition: &mut Partition, amp: &AmplifiedCex) -> u64 {
 /// point is unchanged; it only arrives in fewer rounds. The cascade
 /// stops at the first frame that splits nothing, and every frame before
 /// it added a class, so it ends.
-#[allow(clippy::too_many_arguments)]
 fn split_by_two_frame_cex(
     aig: &Aig,
     partition: &mut Partition,
-    opts: &Options,
     seed: u64,
     s: &[bool],
     xt: &[bool],
     xt1: &[bool],
     obs: &Obs,
 ) -> u64 {
-    let words = opts.sat_amplify_words;
-    if words == 0 {
-        let s2 = next_state_single(aig, xt, s);
-        let frame2 = eval_single(aig, xt1, &s2);
-        return u64::from(partition.refine_by_values(&frame2));
-    }
-    let mut amp = amplify_two_frame(aig, s, xt, xt1, words, seed);
-    obs.add(Counter::AmplifyPatterns, 64 * words as u64);
+    let mut amp = amplify_two_frame(aig, s, xt, xt1, 1, seed);
+    obs.add(Counter::AmplifyPatterns, 64);
     let hits = split_by_frame_pair(partition, &amp);
     obs.add(Counter::AmplifyWordHits, hits);
     if hits == 0 {
@@ -367,57 +338,45 @@ fn split_by_two_frame_cex(
 }
 
 /// Splits the partition by an initial-frame counterexample `x_I`,
-/// amplified when enabled. Every pattern is a valid splitting point —
-/// condition 1 quantifies over all inputs at the initial state.
+/// amplified to one word of 64 patterns. Every pattern is a valid
+/// splitting point — condition 1 quantifies over all inputs at the
+/// initial state.
 fn split_by_init_cex(
     aig: &Aig,
     partition: &mut Partition,
-    opts: &Options,
     seed: u64,
     xi: &[bool],
     obs: &Obs,
 ) -> bool {
-    let words = opts.sat_amplify_words;
-    if words == 0 {
-        let vals = eval_single(aig, xi, &aig.initial_state());
-        return partition.refine_by_values(&vals);
+    let sim = amplify_init(aig, xi, 1, seed);
+    obs.add(Counter::AmplifyPatterns, 64);
+    let hit = partition.refine_by_words(|v| sim.var_words(v)[0], !0u64);
+    if hit {
+        obs.add(Counter::AmplifyWordHits, 1);
     }
-    let sim = amplify_init(aig, xi, words, seed);
-    obs.add(Counter::AmplifyPatterns, 64 * words as u64);
-    let mut changed = false;
-    for w in 0..words {
-        let hit = partition.refine_by_words(|v| sim.var_words(v)[w], !0u64);
-        if hit {
-            obs.add(Counter::AmplifyWordHits, 1);
-        }
-        changed |= hit;
-    }
-    changed
+    hit
 }
 
 /// Theorem 1's `Q_msc ⇒ λ` check at the fixed point: the solver still
 /// carries `Q_{T_fix}` on frame 0 behind the live activation literal
 /// `act`, so each output pair is one more query on the current frame.
-/// Returns `None` when a query exhausted the conflict budget.
 fn check_outputs(
     u: &mut Unrolling,
     partition: &Partition,
     act: SatLit,
     output_pairs: &[(Lit, Lit)],
     obs: &Obs,
-) -> Result<Option<bool>, Abort> {
+) -> Result<bool, Abort> {
     if partition.outputs_equiv(output_pairs) {
-        return Ok(Some(true));
+        return Ok(true);
     }
     for &(a, b) in output_pairs {
         let d = u.out_diff(a, b);
-        match query(&mut u.solver, &[act, d], obs)? {
-            Query::Budget => return Ok(None),
-            Query::Sat => return Ok(Some(false)),
-            Query::Unsat => {}
+        if query(&mut u.solver, &[act, d], obs)? {
+            return Ok(false);
         }
     }
-    Ok(Some(true))
+    Ok(true)
 }
 
 /// Opens this round's span and bumps the `rounds` counter; the caller
@@ -461,8 +420,9 @@ fn cex_seed(opts_seed: u64, round: usize, seq: u64) -> u64 {
     opts_seed ^ query_seq
 }
 
-/// The run's one solver — persistent across rounds in incremental
-/// mode, re-cloned from the base encoding every round in rebuild mode.
+/// The fixed point's one solver, persistent from `T0` through every
+/// round. Dropping it flushes its totals — conflicts, decisions,
+/// propagations, polls — exactly once, abort or not.
 struct RoundSolver {
     u: Unrolling,
     meter: SatMeter,
@@ -475,23 +435,15 @@ struct RoundSolver {
 impl RoundSolver {
     /// A solver over `u` under the run's limits, counted in
     /// `sat_solver_constructions`.
-    fn new(mut u: Unrolling, budget: Option<u64>, deadline: &Deadline, obs: &Obs) -> RoundSolver {
+    fn new(mut u: Unrolling, deadline: &Deadline, obs: &Obs) -> RoundSolver {
         obs.add(Counter::SatSolverConstructions, 1);
         u.solver.set_obs(obs.clone());
-        u.solver.set_conflict_budget(budget);
         u.solver.set_limits(deadline.limits());
         RoundSolver {
             u,
             meter: SatMeter::new(obs),
             prev_act: None,
         }
-    }
-
-    /// Rebuild mode: takes over `fresh`'s solver, flushing the retired
-    /// solver's totals first.
-    fn replace_solver(&mut self, fresh: RoundSolver) {
-        self.meter.flush(&self.u.solver);
-        *self = fresh;
     }
 
     /// Opens a round: retracts the last round's `Q` and asserts this
@@ -508,6 +460,12 @@ impl RoundSolver {
         self.u.assert_q(partition, act);
         self.prev_act = Some(act);
         act
+    }
+}
+
+impl Drop for RoundSolver {
+    fn drop(&mut self) {
+        self.meter.flush(&self.u.solver);
     }
 }
 
@@ -669,8 +627,6 @@ enum SweepEnd {
     /// A query was satisfiable: the lowest canonical `seq` among the
     /// pairs the solver's model, the witness, separates.
     Sat(u64),
-    /// A query exhausted the per-query conflict budget.
-    Budget,
     /// External cancellation, timeout, or resource limit.
     Abort(Abort),
 }
@@ -710,8 +666,7 @@ impl Sweep<'_> {
     /// Queries `pairs` in batches of [`Options::batch_pairs`] pairs (one
     /// when it is 0 or 1) through [`query_batch`]. `Ok` means every
     /// batch answered Unsat; the first satisfiable batch ends the sweep.
-    /// A budgeted or interrupted query ends it too and is never read as
-    /// Unsat.
+    /// An interrupted query ends it too and is never read as Unsat.
     fn batches(
         &mut self,
         u: &mut Unrolling,
@@ -726,18 +681,14 @@ impl Sweep<'_> {
                 .map(|&(_, m, r)| u.pair_diff(partition, m, r, self.init))
                 .collect();
             self.queries += 1;
-            match query_batch(&mut u.solver, self.act.as_slice(), &ds, &opts.obs) {
-                Ok(Query::Unsat) => {}
-                Ok(Query::Sat) => {
-                    let separated = batch
-                        .iter()
-                        .zip(&ds)
-                        .filter(|&(_, &d)| u.solver.model_value(d))
-                        .map(|(&(seq, _, _), _)| seq);
-                    return Err(SweepEnd::Sat(separated.min().unwrap_or(batch[0].0)));
-                }
-                Ok(Query::Budget) => return Err(SweepEnd::Budget),
-                Err(a) => return Err(SweepEnd::Abort(a)),
+            let answer = query_batch(&mut u.solver, self.act.as_slice(), &ds, &opts.obs);
+            if answer.map_err(SweepEnd::Abort)? {
+                let separated = batch
+                    .iter()
+                    .zip(&ds)
+                    .filter(|&(_, &d)| u.solver.model_value(d))
+                    .map(|(&(seq, _, _), _)| seq);
+                return Err(SweepEnd::Sat(separated.min().unwrap_or(batch[0].0)));
             }
         }
         Ok(())
@@ -776,7 +727,7 @@ fn refine_t0(
     partition: &mut Partition,
     opts: &Options,
     ticker: &mut ProgressTicker,
-) -> Result<(), SweepEnd> {
+) -> Result<(), Abort> {
     let obs = &opts.obs;
     let mut sp = span!(obs, "sat.t0");
     let classes_before = partition.num_classes();
@@ -790,16 +741,17 @@ fn refine_t0(
     let end = loop {
         let pairs: Vec<(u64, Var, Var)> = canonical_pairs(partition).map(|(_, p)| p).collect();
         match sw.batches(&mut rs.u, partition, opts, &pairs) {
+            Ok(()) => break Ok(()),
+            Err(SweepEnd::Abort(a)) => break Err(a),
             Err(SweepEnd::Sat(seq)) => {
                 let xi = rs.u.read_inputs(&rs.u.xi_in);
                 let seed = cex_seed(opts.seed, 0, seq);
-                if !split_by_init_cex(aig, partition, opts, seed, &xi, obs) {
-                    break Err(SweepEnd::Abort(Abort::Resource(
+                if !split_by_init_cex(aig, partition, seed, &xi, obs) {
+                    break Err(Abort::Resource(
                         "internal inconsistency: a T0 witness did not split".into(),
-                    )));
+                    ));
                 }
             }
-            end => break end,
         }
     };
     sp.record("queries", sw.queries);
@@ -827,7 +779,6 @@ fn assert_settled_pairs_hold(
 ) {
     let mut u = u.clone();
     u.solver.set_obs(Obs::off());
-    u.solver.set_conflict_budget(None);
     u.solver.set_limits(deadline.limits());
     for &(_, m, r) in pairs {
         let d = u.pair_diff(partition, m, r, true);
@@ -884,22 +835,20 @@ fn sweep_round(
 /// Runs the greatest fixed-point iteration with the SAT engine,
 /// returning the Theorem-1 verdict (`Q_msc ⇒ λ`) at the fixed point.
 ///
-/// [`refine_t0`] settles condition 1 first, on round 1's solver before
-/// it asserts any `Q`. Every round then enumerates the candidate pairs
-/// ([`canonical_pairs`]) and sweeps their condition-2 queries over the
-/// one solver ([`sweep_round`]): the *hot* pairs, those of the classes
-/// the previous merge created or shrank, first as one chunk, then the
-/// *cold* tail, rotated by a cursor that advances `n_pairs + 1` pairs
-/// per round. The first satisfiable query ends the round; its witness
-/// is amplified with the seed [`cex_seed`] derives from the round and
-/// the pair's `seq`, refines the partition, and cascades forward while
-/// its later frames still split. Every counterexample-guided split
-/// preserves "the true relation refines the current partition", so the
-/// fixed point reached is the unique coarsest one refining the seed.
-///
-/// When a query exhausts its conflict budget the budget is dropped and
-/// the run goes on in rebuild mode: `T0` is redone from the current
-/// partition, a round from its unchanged round-start partition.
+/// The circuit is encoded once, into the one solver ([`RoundSolver`])
+/// that runs `T0` and every round. [`refine_t0`] settles condition 1
+/// first, before any `Q` is asserted. Every round then enumerates the
+/// candidate pairs ([`canonical_pairs`]) and sweeps their condition-2
+/// queries over the one solver ([`sweep_round`]): the *hot* pairs,
+/// those of the classes the previous merge created or shrank, first as
+/// one chunk, then the *cold* tail, rotated by a cursor that advances
+/// `n_pairs + 1` pairs per round. The first satisfiable query ends the
+/// round; its witness is amplified with the seed [`cex_seed`] derives
+/// from the round and the pair's `seq`, refines the partition, and
+/// cascades forward while its later frames still split. Every
+/// counterexample-guided split preserves "the true relation refines the
+/// current partition", so the fixed point reached is the unique
+/// coarsest one refining the seed.
 pub(crate) fn run_fixed_point(
     aig: &Aig,
     partition: &mut Partition,
@@ -907,16 +856,17 @@ pub(crate) fn run_fixed_point(
     deadline: &Deadline,
     output_pairs: &[(Lit, Lit)],
 ) -> Result<bool, Abort> {
+    // Each round starts behind one deadline check and one progress
+    // tick: round 1's here, before the solver is built, and every later
+    // round's after the previous merge.
+    deadline.check()?;
+    deadline.tick();
     let obs = &opts.obs;
     // Heartbeats only make sense with somewhere to send them; gating
     // on the handle keeps the disabled-path cost at one branch.
     let mut ticker = ProgressTicker::new(opts.progress_interval.filter(|_| obs.is_enabled()));
-    // Encode once. Incremental mode's solver takes the base encoding
-    // itself; rebuild mode keeps it to re-clone from every round.
-    let mut base = Some(Unrolling::build(aig));
-    let mut rebuild = !opts.sat_incremental;
-    let mut solver: Option<RoundSolver> = None;
-    let mut t0_done = false;
+    let mut rs = RoundSolver::new(Unrolling::build(aig), deadline, obs);
+    refine_t0(&mut rs, aig, partition, opts, &mut ticker)?;
     let mut round_no = 0usize;
     // Deterministic rotation of the cold tail: rounds stop at their
     // first witness, so always sweeping from pair 0 would starve the
@@ -932,38 +882,7 @@ pub(crate) fn run_fixed_point(
     // that otherwise pins every round's query count. Empty before the
     // first merge, so round 1 is an ordinary full sweep.
     let mut hot: HashSet<usize> = HashSet::new();
-    let result = loop {
-        if let Err(e) = deadline.check() {
-            break Err(e);
-        }
-        deadline.tick();
-        // A fresh solver on the first round and, in rebuild mode, on
-        // every round.
-        if rebuild || solver.is_none() {
-            let u = if rebuild { base.clone() } else { base.take() }
-                .expect("the base encoding outlives every solver it seeds");
-            let budget = opts.sat_conflict_budget.filter(|_| !rebuild);
-            let fresh = RoundSolver::new(u, budget, deadline, obs);
-            match &mut solver {
-                Some(rs) => rs.replace_solver(fresh),
-                None => solver = Some(fresh),
-            }
-        }
-        let rs = solver.as_mut().expect("a solver was just brought up");
-        if !t0_done {
-            match refine_t0(rs, aig, partition, opts, &mut ticker) {
-                Ok(()) => t0_done = true,
-                Err(SweepEnd::Abort(a)) => break Err(a),
-                Err(_budget) => {
-                    // Fall back as a round does (below) and redo `T0`
-                    // from the current partition.
-                    event!(obs, "sat.fallback", reason = "conflict budget exhausted");
-                    rebuild = true;
-                    base.get_or_insert_with(|| Unrolling::build(aig));
-                    continue;
-                }
-            }
-        }
+    loop {
         round_no += 1;
         let mut sp = open_round(obs, round_no);
         let classes_before = partition.num_classes();
@@ -1016,39 +935,26 @@ pub(crate) fn run_fixed_point(
             Err(SweepEnd::Sat(seq)) => seq,
             Err(SweepEnd::Abort(a)) => {
                 close_round(obs, &mut sp, partition, classes_before, queries, 0);
-                break Err(a);
+                return Err(a);
             }
-            certified_or_budget => {
+            Ok(()) => {
                 close_round(obs, &mut sp, partition, classes_before, queries, 0);
                 drop(sp);
-                if certified_or_budget.is_ok() {
-                    // No witness: every query answered Unsat — a full
-                    // certified sweep, so the partition is the fixed
-                    // point. The round's `Q` is still active for the
-                    // Theorem-1 output check.
-                    #[cfg(debug_assertions)]
-                    assert_settled_pairs_hold(
-                        &rs.u,
-                        partition,
-                        &congruence.settled,
-                        act,
-                        &pairs,
-                        round_no,
-                        deadline,
-                    );
-                    match check_outputs(&mut rs.u, partition, act, output_pairs, obs) {
-                        Err(e) => break Err(e),
-                        Ok(Some(ok)) => break Ok(ok),
-                        Ok(None) => {}
-                    }
-                }
-                // A query exhausted the conflict budget: drop the
-                // budget and redo the round in rebuild mode from the
-                // round-start partition (this round merged nothing).
-                event!(obs, "sat.fallback", reason = "conflict budget exhausted");
-                rebuild = true;
-                base.get_or_insert_with(|| Unrolling::build(aig));
-                continue;
+                // No witness: every query answered Unsat — a full
+                // certified sweep, so the partition is the fixed point.
+                // The round's `Q` is still active for the Theorem-1
+                // output check.
+                #[cfg(debug_assertions)]
+                assert_settled_pairs_hold(
+                    &rs.u,
+                    partition,
+                    &congruence.settled,
+                    act,
+                    &pairs,
+                    round_no,
+                    deadline,
+                );
+                return check_outputs(&mut rs.u, partition, act, output_pairs, obs);
             }
         };
         // Merge. The witness satisfies the asserted round-start `Q`
@@ -1061,7 +967,7 @@ pub(crate) fn run_fixed_point(
             u.read_inputs(&u.x1_in),
         );
         let seed = cex_seed(opts.seed, round_no, seq);
-        let frames = split_by_two_frame_cex(aig, partition, opts, seed, &s, &xt, &xt1, obs);
+        let frames = split_by_two_frame_cex(aig, partition, seed, &s, &xt, &xt1, obs);
         hot.clear();
         hot.extend(classes_before..partition.num_classes());
         hot.extend(
@@ -1073,17 +979,13 @@ pub(crate) fn run_fixed_point(
         close_round(obs, &mut sp, partition, classes_before, queries, frames);
         drop(sp);
         if frames == 0 {
-            break Err(Abort::Resource(
+            return Err(Abort::Resource(
                 "internal inconsistency: the round's witness did not split".into(),
             ));
         }
-    };
-    // Flush the solver's totals — conflicts, decisions, propagations,
-    // polls — exactly once, abort or not.
-    if let Some(rs) = &mut solver {
-        rs.meter.flush(&rs.u.solver);
+        deadline.check()?;
+        deadline.tick();
     }
-    result
 }
 
 #[cfg(test)]

@@ -9,24 +9,8 @@
 
 use crate::result::CheckStats;
 use crate::sweep::SweepStats;
+use sec_obs::escape_json;
 use std::fmt::Write as _;
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// An append-only JSON object builder: `{"a":1,"b":"x"}` without a
 /// serialization dependency. Field order is insertion order.
@@ -45,7 +29,7 @@ impl JsonObject {
         if !self.buf.is_empty() {
             self.buf.push(',');
         }
-        let _ = write!(self.buf, "\"{}\":", escape(name));
+        let _ = write!(self.buf, "\"{}\":", escape_json(name));
         &mut self.buf
     }
 
@@ -74,7 +58,7 @@ impl JsonObject {
 
     /// Appends an escaped string field.
     pub fn str(mut self, name: &str, value: &str) -> JsonObject {
-        let _ = write!(self.key(name), "\"{}\"", escape(value));
+        let _ = write!(self.key(name), "\"{}\"", escape_json(value));
         self
     }
 
@@ -128,11 +112,6 @@ pub fn sweep_to_json(stats: &SweepStats) -> String {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
-    }
 
     #[test]
     fn builder_renders_all_kinds() {

@@ -151,26 +151,3 @@ fn lit_equiv_is_an_equivalence_compatible_with_complement() {
         assert!(!p.lit_equiv(la, !la), "case {case}");
     }
 }
-
-#[test]
-fn grow_adds_fresh_singletons() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x9A47_4000 ^ case);
-        let (mut p, _) = arb_partition(&mut rng);
-        let extra = rng.gen_range(1..4usize);
-        let phases: Vec<bool> = random_bools(&mut rng, extra);
-        let before = p.num_classes();
-        let new: Vec<(Var, bool)> = phases
-            .iter()
-            .enumerate()
-            .map(|(k, &ph)| (Var::from_index(N + k), ph))
-            .collect();
-        p.grow(N + new.len(), &new);
-        assert_eq!(p.num_classes(), before + new.len(), "case {case}");
-        for (v, ph) in new {
-            assert!(p.class_of(v).is_some(), "case {case}");
-            assert_eq!(p.phase(v), ph, "case {case}");
-            assert_eq!(p.class(p.class_of(v).unwrap()), &[v], "case {case}");
-        }
-    }
-}

@@ -3,15 +3,14 @@
 //! The maximum signal correspondence relation is a *unique* object:
 //! every counterexample-guided split preserves "the true relation
 //! refines the current partition", so whichever engine runs the
-//! iteration — SAT with persistent solvers (incremental mode), SAT with
-//! a fresh solver per round (rebuild mode), or BDDs — must land on
-//! exactly the same final partition (same classes, same phases). These
-//! tests pin that down on product machines of seeded circuit pairs,
-//! including under counterexample amplification and under a conflict
-//! budget that forces the incremental mode to fall back mid-run.
+//! iteration — SAT on its one persistent solver, with per-pair or
+//! batched queries, or BDDs — must land on exactly the same final
+//! partition (same classes, same phases). These tests pin that down on
+//! product machines of seeded circuit pairs.
 //!
-//! Every refinement round ends at its first witness, so a run merges
-//! exactly one witness per round that refines the partition.
+//! The SAT backend builds one solver per fixed point, and every
+//! refinement round ends at its first witness, so a run merges exactly
+//! one witness per round that refines the partition.
 //!
 //! Cancellation must surface as `Unknown`: an interrupted SAT query is
 //! never read as "unsatisfiable", so a cancelled run can never certify
@@ -73,34 +72,16 @@ fn product_machines() -> Vec<Aig> {
 
 #[test]
 fn all_sat_variants_match_the_bdd_fixed_point() {
-    let variants: Vec<(&str, Options)> = vec![
-        ("incremental", Options::sat()),
-        ("monolithic", Options::sat_monolithic()),
-        (
-            "incremental, wide amplification",
-            OptionsBuilder::sat().sat_amplify_words(4).build(),
-        ),
-        (
-            "incremental, no amplification",
-            OptionsBuilder::sat().sat_amplify_words(0).build(),
-        ),
-        (
-            // A 1-conflict budget trips on the first hard query and
-            // falls back to rebuild mode mid-run: the mixed trajectory
-            // must still reach the same fixed point.
-            "incremental, tiny conflict budget",
-            OptionsBuilder::sat().sat_conflict_budget(Some(1)).build(),
-        ),
-    ];
     for (i, aig) in product_machines().into_iter().enumerate() {
         let reference = correspondence_partition(&aig, &Options::default()).unwrap();
         let want = fingerprint(&aig, &reference);
-        for (name, opts) in &variants {
-            let got = correspondence_partition(&aig, opts).unwrap();
+        for batch_pairs in [0, 32] {
+            let opts = OptionsBuilder::sat().batch_pairs(batch_pairs).build();
+            let got = correspondence_partition(&aig, &opts).unwrap();
             assert_eq!(
                 fingerprint(&aig, &got),
                 want,
-                "pair {i}: SAT variant '{name}' diverged from the BDD fixed point"
+                "pair {i}: SAT at batch_pairs {batch_pairs} diverged from the BDD fixed point"
             );
         }
     }
@@ -174,34 +155,6 @@ fn congruence_settlement_keeps_the_bdd_fixed_point_on_resyntheses() {
 }
 
 #[test]
-fn incremental_builds_one_solver_monolithic_one_per_round() {
-    let spec = mixed(10, 3);
-    let imp = unshare_latch_cones(&spec, 0.9, 3);
-    // retime_rounds: 0 so the fixed point runs exactly once.
-    let inc = Checker::new(&spec, &imp, OptionsBuilder::sat().retime_rounds(0).build())
-        .unwrap()
-        .run();
-    let mono = Checker::new(
-        &spec,
-        &imp,
-        OptionsBuilder::sat_monolithic().retime_rounds(0).build(),
-    )
-    .unwrap()
-    .run();
-    assert_eq!(inc.verdict, Verdict::Equivalent);
-    assert_eq!(mono.verdict, Verdict::Equivalent);
-    assert_eq!(
-        inc.stats.sat_solver_constructions, 1,
-        "incremental path must build exactly one solver per fixed point"
-    );
-    assert_eq!(
-        mono.stats.sat_solver_constructions, mono.stats.iterations,
-        "rebuild mode builds one solver per refinement round"
-    );
-    assert!(inc.stats.sat_solver_calls > 0);
-}
-
-#[test]
 fn every_refinement_round_merges_one_witness() {
     // One solver for the whole fixed point, and a round ends at its
     // first witness: every refinement round merges exactly one witness
@@ -238,17 +191,16 @@ fn precancelled_run_returns_unknown() {
     let imp = forward_retime(&spec, &RetimeOptions::default(), 1);
     let token = CancellationToken::new();
     token.cancel();
-    for base in [Options::sat(), Options::sat_monolithic()] {
-        let mut opts = base;
-        opts.cancel = Some(token.clone());
-        opts.bmc_depth = 0;
-        let r = Checker::new(&spec, &imp, opts).unwrap().run();
-        assert!(
-            matches!(r.verdict, Verdict::Unknown(_)),
-            "cancelled run must be Unknown, got {:?}",
-            r.verdict
-        );
-    }
+    let opts = OptionsBuilder::sat()
+        .cancel(Some(token.clone()))
+        .bmc_depth(0)
+        .build();
+    let r = Checker::new(&spec, &imp, opts).unwrap().run();
+    assert!(
+        matches!(r.verdict, Verdict::Unknown(_)),
+        "cancelled run must be Unknown, got {:?}",
+        r.verdict
+    );
     let pm = ProductMachine::build(&spec, &imp).unwrap();
     let err = correspondence_partition(&pm.aig, &OptionsBuilder::sat().cancel(Some(token)).build())
         .unwrap_err();

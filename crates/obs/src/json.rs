@@ -4,9 +4,18 @@
 use crate::Value;
 use std::fmt::Write as _;
 
-/// Appends `s` to `out` as a JSON string literal (with quotes).
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// Escapes `s` for inclusion inside a JSON string literal (without the
+/// quotes): `"`, `\`, `\n`, `\r` and `\t` get their short escapes, every
+/// other control character a `\u00XX` one. The workspace's one JSON
+/// string escaper.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped as by [`escape_json`].
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,6 +29,12 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal (with quotes).
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
     out.push('"');
 }
 
@@ -78,10 +93,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escapes_specials() {
+    fn escapes_quotes_backslashes_and_every_control_character() {
+        assert_eq!(
+            escape_json("a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}é"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é"
+        );
+        for c in (0u8..0x20).map(char::from) {
+            let escaped = escape_json(&c.to_string());
+            assert!(escaped.starts_with('\\'), "{c:?} -> {escaped}");
+        }
         let mut s = String::new();
-        push_escaped(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        push_escaped(&mut s, "\"\t");
+        assert_eq!(s, "\"\\\"\\t\"");
     }
 
     #[test]

@@ -66,6 +66,7 @@ mod recorder;
 mod render;
 mod sink;
 
+pub use json::escape_json;
 pub use metrics::{CounterHandle, HistogramHandle, MetricsRegistry, WINDOW_SECS};
 pub use ndjson::{LineWriter, NdjsonSink};
 pub use recorder::{EventRecord, HistogramSnapshot, Recorder};

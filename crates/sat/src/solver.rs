@@ -183,10 +183,6 @@ pub struct Solver {
     polls_offset: u64,
     /// Why the last solve returned [`SatResult::Interrupted`], if it did.
     interrupt: Option<Stop>,
-    /// Per-call conflict budget; `None` is unlimited.
-    conflict_budget: Option<u64>,
-    /// Whether the last solve was cut short by the conflict budget.
-    budget_exhausted: bool,
     /// Observability handle (off by default). Only coarse search events
     /// (restarts, learnt-db reductions) are emitted directly; callers
     /// flush [`SatStats`] deltas into counters at query boundaries.
@@ -248,8 +244,6 @@ impl Solver {
             limits: Limits::none(),
             polls_offset: 0,
             interrupt: None,
-            conflict_budget: None,
-            budget_exhausted: false,
             obs: Obs::off(),
         }
     }
@@ -285,28 +279,9 @@ impl Solver {
     }
 
     /// Why the last solve call returned [`SatResult::Interrupted`]
-    /// (`None` if it completed, or if the per-call conflict budget ran
-    /// out — see [`Solver::budget_exhausted`]).
+    /// (`None` if it completed).
     pub fn interrupt_reason(&self) -> Option<Stop> {
         self.interrupt
-    }
-
-    /// Caps the number of conflicts any single solve call may spend
-    /// before giving up with [`SatResult::Interrupted`] (`None`
-    /// removes the cap). The cap applies per call, not cumulatively;
-    /// the solver stays fully usable after an exhausted call.
-    ///
-    /// An exhausted call is *never* reported as `Unsat`: the caller must
-    /// treat it as "undecided" (e.g. retry on a fresh solver with no
-    /// budget, as the incremental correspondence backend does).
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
-    }
-
-    /// Whether the last solve call stopped because it hit the per-call
-    /// conflict budget (as opposed to cancellation or a deadline).
-    pub fn budget_exhausted(&self) -> bool {
-        self.budget_exhausted
     }
 
     /// Adds a fresh variable.
@@ -826,7 +801,6 @@ impl Solver {
 
     fn solve_inner(&mut self, assumptions: &[SatLit]) -> SatResult {
         self.interrupt = None;
-        self.budget_exhausted = false;
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -836,22 +810,11 @@ impl Solver {
             return SatResult::Unsat;
         }
         let mut conflicts_budget = RESTART_BASE * luby(self.stats.restarts + 1);
-        let mut call_conflicts = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
-                call_conflicts += 1;
                 if let Err(stop) = self.limits.check() {
                     return self.interrupted(stop);
-                }
-                if let Some(cap) = self.conflict_budget {
-                    if call_conflicts >= cap {
-                        // Out of budget, not out of time: the caller may
-                        // retry elsewhere. Leave level 0 consistent.
-                        self.budget_exhausted = true;
-                        self.cancel_until(0);
-                        return SatResult::Interrupted;
-                    }
                 }
                 if self.decision_level() == 0 {
                     self.ok = false;
@@ -1125,47 +1088,6 @@ mod tests {
         );
         // And the dead majority is bounded by the compaction trigger.
         assert!(!s.arena.mostly_dead(), "dead words stay a minority");
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // j indexes across two rows
-    fn conflict_budget_interrupts_and_solver_stays_usable() {
-        // A hard UNSAT family needs far more than 5 conflicts; the
-        // budgeted call must stop as Interrupted (never Unsat), and
-        // lifting the budget must then reach the exact answer.
-        let mut s = Solver::new();
-        let n = 7;
-        let p: Vec<Vec<SatLit>> = (0..n)
-            .map(|_| (0..n - 1).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for j in 0..n - 1usize {
-            for a in 0..n {
-                for b in a + 1..n {
-                    s.add_clause(&[!p[a][j], !p[b][j]]);
-                }
-            }
-        }
-        s.set_conflict_budget(Some(5));
-        assert_eq!(s.solve(), SatResult::Interrupted);
-        assert!(s.budget_exhausted());
-        assert_eq!(s.interrupt_reason(), None, "budget is not a Stop");
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        assert!(!s.budget_exhausted());
-    }
-
-    #[test]
-    fn conflict_budget_is_per_call() {
-        // An easy instance finishes under budget; the flag stays clear.
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause(&[v[0], v[1]]);
-        s.set_conflict_budget(Some(1));
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert!(!s.budget_exhausted());
     }
 
     #[test]

@@ -103,9 +103,6 @@ pub fn check_line(req: &CheckRequest) -> String {
     if let Some(ms) = req.timeout_ms {
         out.push_str(&format!(",\"timeout_ms\":{ms}"));
     }
-    if let Some(budget) = req.conflict_budget {
-        out.push_str(&format!(",\"conflict_budget\":{budget}"));
-    }
     if let Some(ms) = req.heartbeat_ms {
         out.push_str(&format!(",\"heartbeat_ms\":{ms}"));
     }
@@ -151,8 +148,10 @@ mod tests {
             revalidate: true,
         };
         let line = check_line(&req);
-        // `jobs` is ignored: it never reaches the wire.
+        // `jobs` and `conflict_budget` are ignored: they never reach
+        // the wire.
         assert!(!line.contains("jobs"), "{line}");
+        assert!(!line.contains("conflict_budget"), "{line}");
         let Request::Check(back) = parse_request(&line).unwrap() else {
             panic!("not a check: {line}");
         };
@@ -160,7 +159,6 @@ mod tests {
         assert_eq!(back.impl_, req.impl_);
         assert_eq!(back.engine, req.engine);
         assert_eq!(back.timeout_ms, req.timeout_ms);
-        assert_eq!(back.conflict_budget, req.conflict_budget);
         assert_eq!(back.heartbeat_ms, req.heartbeat_ms);
         assert_eq!(back.tag, req.tag);
         assert_eq!(back.no_cache, req.no_cache);

@@ -61,7 +61,12 @@ pub struct CheckRequest {
     pub engine: Engine,
     /// Per-job wall-clock deadline in milliseconds.
     pub timeout_ms: Option<u64>,
-    /// Per-job SAT conflict budget.
+    /// Ignored. The SAT backend runs every check to its answer on one
+    /// solver, with no per-query conflict budget: the daemon neither
+    /// reads a `conflict_budget` key nor sends one, and a request that
+    /// carries it gets the same answer as one without. The field stays
+    /// so code that builds a `CheckRequest` with a struct literal keeps
+    /// compiling.
     pub conflict_budget: Option<u64>,
     /// Ignored. The SAT backend runs every check on one solver, so
     /// there is no per-check worker count: the daemon neither reads a
@@ -154,7 +159,7 @@ fn parse_check(v: &Json) -> Result<CheckRequest, String> {
         impl_,
         engine,
         timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
-        conflict_budget: v.get("conflict_budget").and_then(Json::as_u64),
+        conflict_budget: None,
         jobs: 1,
         heartbeat_ms: v.get("heartbeat_ms").and_then(Json::as_u64),
         tag: v.get("tag").and_then(Json::as_str).map(str::to_string),
@@ -163,22 +168,9 @@ fn parse_check(v: &Json) -> Result<CheckRequest, String> {
     })
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON document: the workspace's
+/// one escaper, [`sec_obs::escape_json`], re-exported here.
+pub use sec_obs::escape_json;
 
 #[cfg(test)]
 mod tests {
@@ -198,7 +190,8 @@ mod tests {
         assert_eq!(c.spec, Source::Path("a.bench".into()));
         assert_eq!(c.engine, Engine::Portfolio);
         assert_eq!(c.timeout_ms, Some(500));
-        assert_eq!(c.conflict_budget, Some(1000));
+        // An ignored key: accepted, never read.
+        assert_eq!(c.conflict_budget, None);
         assert_eq!(c.heartbeat_ms, Some(50));
         assert_eq!(c.tag.as_deref(), Some("t1"));
         assert!(!c.no_cache);
@@ -256,10 +249,5 @@ mod tests {
             parse_request("{\"cmd\":\"shutdown\"}"),
             Ok(Request::Shutdown)
         ));
-    }
-
-    #[test]
-    fn escape_json_covers_controls() {
-        assert_eq!(escape_json("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -197,7 +197,6 @@ struct Job {
     impl_: Aig,
     engine: Engine,
     timeout: Option<Duration>,
-    conflict_budget: Option<u64>,
     heartbeat: Option<Duration>,
     no_cache: bool,
     fingerprint: Fingerprint,
@@ -990,7 +989,6 @@ fn submit(
             .timeout_ms
             .map(Duration::from_millis)
             .or(state.default_timeout),
-        conflict_budget: req.conflict_budget,
         heartbeat: req.heartbeat_ms.map(Duration::from_millis),
         no_cache: req.no_cache,
         fingerprint,
@@ -1250,7 +1248,6 @@ fn run_job(state: &Arc<State>, job: &Job, worker: usize, recorder: &Recorder) {
             };
             let opts = builder
                 .timeout(job.timeout)
-                .sat_conflict_budget(job.conflict_budget)
                 .progress_interval(job.heartbeat)
                 .cancel(Some(job.token.clone()))
                 .obs(job_obs)

@@ -24,7 +24,7 @@ use sec::core::{Backend, Checker, Options, SignalScope, Verdict};
 use sec::netlist::{
     analysis, dot, load_model, load_model_bytes, write_aiger, write_aiger_binary, write_bench, Aig,
 };
-use sec::obs::{heartbeat_line, HeartbeatSink, NdjsonSink, Obs, Recorder, Sink};
+use sec::obs::{escape_json, heartbeat_line, HeartbeatSink, NdjsonSink, Obs, Recorder, Sink};
 use sec::portfolio::{self, EngineKind, PortfolioOptions, ProgressEvent};
 use sec::serve::{
     check_line, CheckRequest as ServeCheckRequest, Client as ServeClient, Engine as ServeEngine,
@@ -65,8 +65,8 @@ fn usage() -> ! {
          [--cache-dir DIR] [--trace-json FILE] [--timeout SECS]\n           \
          [--metrics-addr ADDR] [--slow-ms N]\n  \
          sec client check <spec> <impl> --addr ADDR [--engine bdd|sat|portfolio]\n           \
-         [--timeout SECS] [--conflict-budget N] [--heartbeat SECS]\n           \
-         [--tag NAME] [--no-cache] [--revalidate] [--inline]\n  \
+         [--timeout SECS] [--heartbeat SECS] [--tag NAME]\n           \
+         [--no-cache] [--revalidate] [--inline]\n  \
          sec client batch <spec impl>... --addr ADDR [check options]\n  \
          sec client cancel <job> --addr ADDR\n  \
          sec client status|metrics|health --addr ADDR\n  \
@@ -145,20 +145,6 @@ fn parse_workers(value: &str) -> usize {
     workers
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn trace_json(trace: &Trace) -> String {
     let frames: Vec<String> = trace
         .inputs
@@ -208,11 +194,11 @@ fn verdict_json_fields(verdict: &Verdict) -> String {
         ),
         Verdict::Unknown(reason) => format!(
             "\"verdict\":\"unknown\",\"reason\":\"{}\"",
-            json_escape(reason)
+            escape_json(reason)
         ),
         other => format!(
             "\"verdict\":\"unknown\",\"reason\":\"{}\"",
-            json_escape(&format!("{other:?}"))
+            escape_json(&format!("{other:?}"))
         ),
     }
 }
@@ -872,7 +858,6 @@ fn client_check(batch: bool, args: &[String]) -> ! {
     let mut paths: Vec<String> = Vec::new();
     let mut engine = ServeEngine::Sat;
     let mut timeout_ms = None;
-    let mut conflict_budget = None;
     let mut heartbeat_ms = None;
     let mut tag: Option<String> = None;
     let mut no_cache = false;
@@ -898,13 +883,6 @@ fn client_check(batch: bool, args: &[String]) -> ! {
             "--timeout-ms" => {
                 timeout_ms = Some(
                     take_value(args, &mut i, "--timeout-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--conflict-budget" => {
-                conflict_budget = Some(
-                    take_value(args, &mut i, "--conflict-budget")
                         .parse()
                         .unwrap_or_else(|_| usage()),
                 )
@@ -970,7 +948,7 @@ fn client_check(batch: bool, args: &[String]) -> ! {
                 impl_: source(&pair[1]),
                 engine,
                 timeout_ms,
-                conflict_budget,
+                conflict_budget: None,
                 jobs: 1,
                 heartbeat_ms,
                 tag: match &tag {
@@ -1047,7 +1025,7 @@ fn client_cancel(args: &[String]) -> ! {
     client
         .send_line(&format!(
             "{{\"cmd\":\"cancel\",\"job\":\"{}\"}}",
-            sec::serve::escape_json(&job)
+            escape_json(&job)
         ))
         .unwrap_or_else(|e| {
             eprintln!("send failed: {e}");

@@ -262,6 +262,21 @@ fn bad_usage_exits_above_two() {
 }
 
 #[test]
+fn client_conflict_budget_is_an_unknown_option() {
+    // The SAT backend has no per-query conflict budget, so the flag is
+    // rejected while parsing, before any connection is made.
+    let out = Command::new(SEC)
+        .args(["client", "check", "a.bench", "b.bench"])
+        .args(["--addr", "127.0.0.1:9", "--conflict-budget", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option"), "{err}");
+    assert!(err.contains("--conflict-budget"), "{err}");
+}
+
+#[test]
 fn check_jobs_zero_is_a_usage_error_with_hint() {
     // `sec serve --workers 0` is a usage error whose message and hint
     // name the flag the user actually passed.

@@ -136,7 +136,12 @@ fn check_req(spec: &str, imp: &str) -> CheckRequest {
 /// Submits one check and drains events until its `serve.result` (or
 /// `serve.error`) arrives; returns everything received.
 fn run_check(client: &mut Client, req: &CheckRequest) -> Vec<Event> {
-    client.send_line(&check_line(req)).unwrap();
+    run_line(client, &check_line(req))
+}
+
+/// [`run_check`] for a raw request line.
+fn run_line(client: &mut Client, line: &str) -> Vec<Event> {
+    client.send_line(line).unwrap();
     let mut events = Vec::new();
     loop {
         let (_, ev) = client.next_event().unwrap().expect("server closed early");
@@ -242,6 +247,39 @@ fn cache_hit_skips_the_engine_and_matches_the_cold_verdict() {
     assert_eq!(st.u64("cache_hits"), Some(1));
     assert_eq!(st.u64("cache_misses"), Some(1));
 
+    assert!(daemon.shutdown_and_wait().success());
+}
+
+#[test]
+fn ignored_conflict_budget_and_jobs_keys_change_nothing() {
+    let text = write_bench(&random_aig(4, 12, 80, 7));
+    let mut req = check_req(&text, &text);
+    req.no_cache = true;
+    req.conflict_budget = Some(1);
+    req.jobs = 4;
+    // `check_line` writes neither ignored key…
+    let plain = check_line(&req);
+    assert!(!plain.contains("conflict_budget"), "{plain}");
+    assert!(!plain.contains("jobs"), "{plain}");
+    // …and a line that carries both gets the same answer as one without.
+    let carrying = format!(
+        "{},\"conflict_budget\":1,\"jobs\":4}}",
+        plain.strip_suffix('}').unwrap()
+    );
+    let mut daemon = Daemon::start(&["--workers", "1"]);
+    let mut c = daemon.client();
+    let answers: Vec<(String, u64)> = [&plain, &carrying]
+        .into_iter()
+        .map(|line| {
+            let events = run_line(&mut c, line);
+            assert!(ran_an_engine(&events), "{line}");
+            let result = result_of(&events);
+            let verdict = result.str("verdict").unwrap().to_string();
+            (verdict, result.u64("classes").unwrap())
+        })
+        .collect();
+    assert_eq!(answers[0].0, "equivalent");
+    assert_eq!(answers[0], answers[1]);
     assert!(daemon.shutdown_and_wait().success());
 }
 
